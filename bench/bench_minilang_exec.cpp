@@ -1,22 +1,22 @@
-// MiniLang execution engines head to head (DESIGN.md §4j): the same method
-// bodies timed on the tree-walking interpreter and on the register-bytecode
-// VM, pinned per call via InterpOptions::exec so one process measures both.
-// Warm dispatch is what views feel in steady state — methods are compiled
-// once (generation time in production, a warmup call here), then every
-// request pays only the dispatch loop.
+// The MiniLang VM against the tree-walking evaluator (DESIGN.md §4j): the
+// same method bodies timed on the test-only oracle (tests/support), which
+// walks the AST, and on the production register-bytecode VM. Warm dispatch
+// is what views feel in steady state — methods are compiled once
+// (generation time in production, a warmup call here), then every request
+// pays only the dispatch loop.
 //
 // Trajectory JSON: BENCH_minilang_exec.json. The regression gate holds the
 // loop-method speedup (baselines.json: minilang_exec/derived/
-// bytecode_speedup_loop) — the bytecode engine must stay >=2x the
-// interpreter on loop-heavy bodies or CI fails.
+// bytecode_speedup_loop) — the VM must stay >=2x the tree-walker on
+// loop-heavy bodies or CI fails.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hpp"
 #include "mail/components.hpp"
 #include "minilang/compile.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/parser.hpp"
+#include "support/minilang_oracle.hpp"
 #include "views/vig.hpp"
 
 namespace {
@@ -24,8 +24,6 @@ namespace {
 using namespace psf;
 using minilang::ClassDef;
 using minilang::ClassRegistry;
-using minilang::ExecMode;
-using minilang::InterpOptions;
 using minilang::MethodDef;
 using minilang::Value;
 
@@ -75,47 +73,24 @@ std::shared_ptr<ClassDef> make_hot_class() {
       count = count + 1;
       if (balance > 1000000) { balance = 0; }
       return balance * count;)");
-  add("fieldHot", {"n"}, R"(
-      var total = 0;
-      for (var i = 0; i < n; i = i + 1) {
-        total = total + balance * balance + balance - count * count + count;
-      }
-      return total;)");
   return cls;
 }
 
-// Pin PSF_MINILANG_OPT for one compile phase (the flag is read per
-// ensure_compiled call; compiled slots keep whatever the compile saw).
-class OptEnv {
- public:
-  explicit OptEnv(const char* value) {
-    const char* prior = std::getenv("PSF_MINILANG_OPT");
-    had_prior_ = prior != nullptr;
-    if (had_prior_) prior_ = prior;
-    setenv("PSF_MINILANG_OPT", value, 1);
-  }
-  ~OptEnv() {
-    if (had_prior_) {
-      setenv("PSF_MINILANG_OPT", prior_.c_str(), 1);
-    } else {
-      unsetenv("PSF_MINILANG_OPT");
-    }
-  }
+enum class Engine { kOracle, kVm };
 
- private:
-  bool had_prior_ = false;
-  std::string prior_;
-};
+Value run(Engine engine, const std::shared_ptr<minilang::Instance>& self,
+          const std::string& method, const std::vector<Value>& args) {
+  return engine == Engine::kVm
+             ? minilang::invoke_method(self, method, args, /*external=*/true)
+             : minilang::oracle::invoke_method(self, method, args,
+                                               /*external=*/true);
+}
 
 double time_method(const std::shared_ptr<minilang::Instance>& self,
                    const std::string& method, const std::vector<Value>& args,
-                   ExecMode mode, int iters) {
-  InterpOptions options;
-  options.exec = mode;
-  return bench::time_us(iters, [&] {
-    (void)minilang::invoke_method(self, method, args, /*external=*/true,
-                                  options);
-  });
+                   Engine engine, int iters) {
+  return bench::time_us(iters,
+                        [&] { (void)run(engine, self, method, args); });
 }
 
 void reproduce() {
@@ -151,12 +126,12 @@ void reproduce() {
               "bytecode us/op", "speedup");
   for (const Case& c : cases) {
     // Warm both engines: compiles the bytecode once, faults nothing later.
-    (void)time_method(c.self, c.method, c.args, ExecMode::kInterp, 1);
-    (void)time_method(c.self, c.method, c.args, ExecMode::kBytecode, 1);
+    (void)time_method(c.self, c.method, c.args, Engine::kOracle, 1);
+    (void)time_method(c.self, c.method, c.args, Engine::kVm, 1);
     const double interp_us =
-        time_method(c.self, c.method, c.args, ExecMode::kInterp, iters);
+        time_method(c.self, c.method, c.args, Engine::kOracle, iters);
     const double bytecode_us =
-        time_method(c.self, c.method, c.args, ExecMode::kBytecode, iters);
+        time_method(c.self, c.method, c.args, Engine::kVm, iters);
     const double speedup = bytecode_us > 0 ? interp_us / bytecode_us : 0.0;
     std::printf("  %-16s %12.2f %12.2f %9.2fx\n", c.name, interp_us,
                 bytecode_us, speedup);
@@ -165,54 +140,6 @@ void reproduce() {
     report.derived(std::string("bytecode_speedup_") +
                        (c.name == std::string("sum_loop") ? "loop" : c.name),
                    speedup);
-  }
-
-  // Optimizer delta (DESIGN.md §4l): the same field-heavy loop compiled with
-  // PSF_MINILANG_OPT off and on, into separate registries so each compiled
-  // slot keeps its phase's code. The instruction reduction is deterministic
-  // (gated in baselines.json); the time delta is informational.
-  {
-    struct Phase {
-      std::shared_ptr<ClassRegistry> registry;
-      std::shared_ptr<minilang::Instance> self;
-      std::size_t insns = 0;
-    };
-    auto compile_phase = [&](const char* env) {
-      OptEnv pin(env);
-      Phase phase;
-      phase.registry = std::make_shared<ClassRegistry>();
-      auto fresh = std::make_shared<ClassDef>();
-      fresh->name = "Hot";
-      fresh->fields = hot->fields;
-      for (const auto& m : hot->methods) fresh->methods.push_back(m.clone());
-      phase.registry->register_class(fresh);
-      const MethodDef* method = fresh->find_method("fieldHot");
-      const auto* code = minilang::ensure_compiled(*phase.registry, *fresh,
-                                                   *method);
-      phase.insns = code != nullptr ? code->code.size() : 0;
-      phase.self = minilang::instantiate(*phase.registry, "Hot");
-      return phase;
-    };
-    Phase unopt = compile_phase("0");
-    Phase opt = compile_phase("1");
-    const std::vector<Value> args = {Value::integer(1000)};
-    const double unopt_us =
-        time_method(unopt.self, "fieldHot", args, ExecMode::kBytecode, iters);
-    const double opt_us =
-        time_method(opt.self, "fieldHot", args, ExecMode::kBytecode, iters);
-    const double speedup = opt_us > 0 ? unopt_us / opt_us : 0.0;
-    const double reduction_pct =
-        unopt.insns > 0
-            ? 100.0 * static_cast<double>(unopt.insns - opt.insns) /
-                  static_cast<double>(unopt.insns)
-            : 0.0;
-    std::printf("  %-16s %12.2f %12.2f %9.2fx  (%zu -> %zu insns, -%.1f%%)\n",
-                "field_hot_opt", unopt_us, opt_us, speedup, unopt.insns,
-                opt.insns, reduction_pct);
-    report.add("field_hot.unopt_us", unopt_us, "us", iters);
-    report.add("field_hot.opt_us", opt_us, "us", iters);
-    report.derived("opt_speedup_field_hot", speedup);
-    report.derived("opt_insn_reduction_pct", reduction_pct);
   }
 
   // Compile cost per hot class (fresh slots each round via clone()).
@@ -233,46 +160,40 @@ void reproduce() {
   report.write();
 }
 
-void BM_SumLoop(benchmark::State& state, ExecMode mode) {
+void BM_SumLoop(benchmark::State& state, Engine engine) {
   ClassRegistry registry;
   auto hot = make_hot_class();
   registry.register_class(hot);
   auto self = minilang::instantiate(registry, "Hot");
-  InterpOptions options;
-  options.exec = mode;
   const std::vector<Value> args = {Value::integer(1000)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        minilang::invoke_method(self, "sumTo", args, true, options));
+    benchmark::DoNotOptimize(run(engine, self, "sumTo", args));
   }
 }
 void BM_SumLoopInterp(benchmark::State& state) {
-  BM_SumLoop(state, ExecMode::kInterp);
+  BM_SumLoop(state, Engine::kOracle);
 }
 void BM_SumLoopBytecode(benchmark::State& state) {
-  BM_SumLoop(state, ExecMode::kBytecode);
+  BM_SumLoop(state, Engine::kVm);
 }
 BENCHMARK(BM_SumLoopInterp);
 BENCHMARK(BM_SumLoopBytecode);
 
-void BM_FieldChurn(benchmark::State& state, ExecMode mode) {
+void BM_FieldChurn(benchmark::State& state, Engine engine) {
   ClassRegistry registry;
   auto hot = make_hot_class();
   registry.register_class(hot);
   auto self = minilang::instantiate(registry, "Hot");
-  InterpOptions options;
-  options.exec = mode;
   const std::vector<Value> args = {Value::integer(3)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        minilang::invoke_method(self, "churn", args, true, options));
+    benchmark::DoNotOptimize(run(engine, self, "churn", args));
   }
 }
 void BM_FieldChurnInterp(benchmark::State& state) {
-  BM_FieldChurn(state, ExecMode::kInterp);
+  BM_FieldChurn(state, Engine::kOracle);
 }
 void BM_FieldChurnBytecode(benchmark::State& state) {
-  BM_FieldChurn(state, ExecMode::kBytecode);
+  BM_FieldChurn(state, Engine::kVm);
 }
 BENCHMARK(BM_FieldChurnInterp);
 BENCHMARK(BM_FieldChurnBytecode);
@@ -281,6 +202,6 @@ BENCHMARK(BM_FieldChurnBytecode);
 
 int main(int argc, char** argv) {
   return psf::bench::run(
-      argc, argv, "MiniLang: bytecode VM vs tree-walking interpreter",
+      argc, argv, "MiniLang: bytecode VM vs tree-walking oracle",
       reproduce);
 }

@@ -2,8 +2,8 @@
 // and by VIG's generation mechanics (views::collect_free_names wraps
 // free_refs). The linear declaration semantics — a `var` counts as declared
 // for everything visited after it, in statement walk order, regardless of
-// block nesting — deliberately mirror both the interpreter's function-scoped
-// frames and VIG's historical validation walk, so the analyzer reasons about
+// block nesting — deliberately mirror both the engine's function-scoped
+// locals and VIG's historical validation walk, so the analyzer reasons about
 // exactly the code generation that will happen.
 #pragma once
 

@@ -1,8 +1,8 @@
-// MiniLang builtin functions, shared by the tree-walking interpreter
-// (interp.cpp) and the bytecode VM (vm.cpp). Both engines dispatch through
-// this one table so they can never disagree about a builtin's semantics or
-// error messages — the differential suite (tests/bytecode_diff_test.cpp)
-// relies on that.
+// MiniLang builtin functions, shared by the bytecode VM (vm.cpp) and the
+// tree-walking test oracle (tests/support/minilang_oracle.cpp). Both
+// dispatch through this one table so they can never disagree about a
+// builtin's semantics or error messages — the differential suite
+// (tests/bytecode_diff_test.cpp) relies on that.
 #pragma once
 
 #include <string>
@@ -20,7 +20,7 @@ int builtin_index(const std::string& name);
 /// Invoke builtin `index` (from builtin_index). Arguments are taken by
 /// reference because container builtins (push, put, ...) mutate through the
 /// shared pointer inside the Value. Throws EvalError on arity or type
-/// mismatch, with the same messages the interpreter always produced.
+/// mismatch.
 Value call_builtin(int index, std::vector<Value>& args);
 
 /// Name of builtin `index` (for diagnostics and disassembly).

@@ -9,25 +9,18 @@
 #include <utility>
 
 #include "minilang/builtins.hpp"
-#include "minilang/optimize.hpp"
 #include "obs/metrics.hpp"
 
 namespace psf::minilang {
 
 namespace {
 
-// Internal signal for "this method stays on the interpreter". Never escapes
-// compile_method.
-struct CompileFail {
-  std::string message;
-};
+// Register, name-pool and method-pool indices are 16-bit instruction
+// operands; a body needing more cannot be encoded.
+constexpr std::size_t kMaxOperand = 0xFFFF;
 
-[[noreturn]] void fail(std::string message) {
-  throw CompileFail{std::move(message)};
-}
-
-// How an identifier resolves inside the method being compiled. The
-// interpreter's locals are *dynamic* — `var x` makes `x` local only once
+// How an identifier resolves inside the method being compiled. MiniLang
+// locals are *dynamic* — `var x` makes `x` local only once
 // the statement executes; before that the name falls through to a self
 // field or an undefined-variable error. The compiler keeps that behavior
 // with per-slot defined bits and four access flavors:
@@ -45,8 +38,8 @@ struct Local {
 class Compiler {
  public:
   Compiler(const ClassRegistry& registry, const ClassDef& cls,
-           const MethodDef& method, const CompileOptions& options)
-      : registry_(registry), cls_(cls), method_(method), options_(options) {}
+           const MethodDef& method)
+      : registry_(registry), cls_(cls), method_(method) {}
 
   std::shared_ptr<const CompiledMethod> run() {
     out_ = std::make_shared<CompiledMethod>();
@@ -63,8 +56,9 @@ class Compiler {
     std::int32_t slot = 0;
     for (const auto& name : field_names) field_slots_[name] = slot++;
 
+    // A repeated parameter name binds to its last occurrence, as the
+    // oracle's in-order declaration does; earlier registers stay unnamed.
     for (const auto& p : method_.params) {
-      if (locals_.count(p) > 0) fail("duplicate parameter '" + p + "'");
       Local l;
       l.reg = next_local_reg();
       l.always_defined = true;
@@ -82,10 +76,31 @@ class Compiler {
     emit(Op::kReturnNull, 0, 0, 0, 0, 0);
 
     out_->num_registers = high_water_;
+    allocate_inline_caches();
     return out_;
   }
 
  private:
+  [[noreturn]] void fail(const std::string& reason) const {
+    throw CompileError("cannot compile method '" + method_.name + "' on " +
+                       cls_.name + ": " + reason);
+  }
+
+  // One monomorphic inline-cache slot per member-call site; the VM fills
+  // them on first dispatch and VIG seeds them from deployment facts.
+  void allocate_inline_caches() {
+    std::uint32_t caches = 0;
+    for (Insn& insn : out_->code) {
+      if (insn.op != Op::kCallMember) continue;
+      if (caches >= kMaxOperand) fail("too many member-call sites");
+      insn.d = static_cast<std::uint16_t>(++caches);
+    }
+    if (caches > 0) {
+      out_->caches = std::make_unique<InlineCache[]>(caches);
+      out_->num_caches = caches;
+    }
+  }
+
   // --- local discovery -----------------------------------------------------
 
   void collect_vars(const std::vector<StmtPtr>& block) {
@@ -93,8 +108,9 @@ class Compiler {
   }
 
   void collect_vars_stmt(const Stmt& s) {
+    // `var this` gets a slot like any local: reads of `this` always load
+    // self (ident_into), so the slot is only ever declared and assigned.
     if (s.kind == StmtKind::kVarDecl) {
-      if (s.name == "this") fail("'var this' is not compilable");
       if (locals_.count(s.name) == 0) {
         Local l;
         l.reg = next_local_reg();
@@ -114,8 +130,8 @@ class Compiler {
   }
 
   std::uint16_t next_local_reg() {
-    const std::size_t reg = locals_.size();
-    if (reg >= options_.max_registers) fail("too many locals");
+    const std::size_t reg = out_->local_names.size();
+    if (reg >= kMaxOperand) fail("too many locals");
     return static_cast<std::uint16_t>(reg);
   }
 
@@ -141,9 +157,7 @@ class Compiler {
   std::size_t here() const { return out_->code.size(); }
 
   std::uint16_t alloc_temp() {
-    if (temp_top_ >= options_.max_registers || temp_top_ >= 0xFFFF) {
-      fail("register overflow");
-    }
+    if (temp_top_ >= kMaxOperand) fail("register overflow");
     const std::uint16_t reg = static_cast<std::uint16_t>(temp_top_++);
     if (temp_top_ > high_water_) high_water_ = temp_top_;
     return reg;
@@ -152,7 +166,7 @@ class Compiler {
   std::uint16_t add_name(const std::string& name) {
     auto it = name_index_.find(name);
     if (it != name_index_.end()) return it->second;
-    if (out_->names.size() >= 0xFFFF) fail("name pool overflow");
+    if (out_->names.size() >= kMaxOperand) fail("name pool overflow");
     const auto idx = static_cast<std::uint16_t>(out_->names.size());
     out_->names.push_back(name);
     name_index_[name] = idx;
@@ -176,7 +190,9 @@ class Compiler {
     for (std::size_t i = 0; i < out_->self_methods.size(); ++i) {
       if (out_->self_methods[i] == m) return static_cast<std::uint16_t>(i);
     }
-    if (out_->self_methods.size() >= 0xFFFF) fail("method pool overflow");
+    if (out_->self_methods.size() >= kMaxOperand) {
+      fail("method pool overflow");
+    }
     out_->self_methods.push_back(m);
     return static_cast<std::uint16_t>(out_->self_methods.size() - 1);
   }
@@ -208,8 +224,8 @@ class Compiler {
     return __builtin_mul_overflow(a, b, &r);
   }
 
-  /// Evaluate `e` at compile time when that provably matches what the
-  /// interpreter would do at run time: literal leaves, pure operators, no
+  /// Evaluate `e` at compile time when that provably matches what running
+  /// it would produce: literal leaves, pure operators, no
   /// chance of an error (division by zero and overflow stay runtime ops).
   std::optional<Value> fold(const Expr& e) {  // NOLINT(misc-no-recursion)
     switch (e.kind) {
@@ -446,8 +462,8 @@ class Compiler {
       emit(Op::kCallSelf, dst, add_self_method(m), base, nargs, e.line);
       return;
     }
-    // The interpreter evaluates arguments first and only then discovers the
-    // method is missing; keep that order with an inline throw.
+    // Arguments are evaluated before the missing method is discovered; keep
+    // that order with an inline throw.
     emit_throw("no method '" + e.name + "' on " + cls_.name, e.line);
   }
 
@@ -510,7 +526,7 @@ class Compiler {
       }
       case StmtKind::kFor: {
         // init and update execute in the *enclosing* loop context: a break
-        // or continue inside them escapes this loop, as in the interpreter.
+        // or continue inside them escapes this loop, as in the oracle.
         if (s.init) compile_stmt(*s.init);
         const std::size_t top = here();
         std::size_t exit = 0;
@@ -537,7 +553,7 @@ class Compiler {
       case StmtKind::kContinue: {
         if (loops_.empty()) {
           // Thrown only if the statement actually executes, like the
-          // interpreter's flow-escape check in invoke_resolved.
+          // oracle's flow-escape check after a method body.
           emit_throw("'break'/'continue' outside a loop in " + method_.name,
                      s.line);
         } else if (s.kind == StmtKind::kBreak) {
@@ -592,7 +608,7 @@ class Compiler {
                target.line);
           return;
         }
-        // RHS runs before the error, like the interpreter.
+        // RHS runs before the error, like the oracle.
         expr_value(*s.expr);
         emit_throw("line " + std::to_string(target.line) +
                        ": assignment to undefined variable '" + target.name +
@@ -623,7 +639,6 @@ class Compiler {
   const ClassRegistry& registry_;
   const ClassDef& cls_;
   const MethodDef& method_;
-  const CompileOptions& options_;
 
   std::shared_ptr<CompiledMethod> out_;
   std::map<std::string, Local> locals_;
@@ -636,67 +651,42 @@ class Compiler {
 
 }  // namespace
 
-CompileResult compile_method(const ClassRegistry& registry,
-                             const ClassDef& cls, const MethodDef& method,
-                             const CompileOptions& options) {
-  CompileResult result;
-  if (method.is_native) {
-    result.error = "native method";
-    return result;
-  }
-  try {
-    Compiler compiler(registry, cls, method, options);
-    result.code = compiler.run();
-  } catch (const CompileFail& f) {
-    result.error = f.message;
-  }
-  return result;
-}
-
-const CompiledMethod* ensure_compiled(const ClassRegistry& registry,
+const CompiledMethod& ensure_compiled(const ClassRegistry& registry,
                                       const ClassDef& cls,
-                                      const MethodDef& method,
-                                      const CompileOptions& options) {
+                                      const MethodDef& method) {
   CompiledSlot* slot = method.compiled.get();
-  if (slot == nullptr || method.is_native) return nullptr;
-  const int state = slot->state.load(std::memory_order_acquire);
-  if (state == 1) {
-    const CompiledMethod* code = slot->code.get();
-    return code->self_class == &cls ? code : nullptr;
+  if (slot == nullptr || method.is_native) {
+    throw EvalError("method '" + method.name + "' on " + cls.name +
+                    " has no bytecode (native, or class never registered)");
   }
-  if (state == 2) return nullptr;
+  if (slot->ready.load(std::memory_order_acquire) &&
+      slot->code->self_class == &cls) {
+    return *slot->code;
+  }
 
   const std::lock_guard<std::mutex> lock(slot->mu);
-  const int locked_state = slot->state.load(std::memory_order_relaxed);
-  if (locked_state == 1) {
-    const CompiledMethod* code = slot->code.get();
-    return code->self_class == &cls ? code : nullptr;
+  if (slot->code != nullptr && slot->code->self_class == &cls) {
+    return *slot->code;
   }
-  if (locked_state == 2) return nullptr;
+  for (const auto& code : slot->others) {
+    if (code->self_class == &cls) return *code;
+  }
 
   const auto start = std::chrono::steady_clock::now();
-  CompileResult result = compile_method(registry, cls, method, options);
+  std::shared_ptr<const CompiledMethod> code =
+      Compiler(registry, cls, method).run();
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
   obs::histogram("psf.minilang.compile_us").observe(static_cast<double>(us));
-  if (!result.ok()) {
-    obs::counter("psf.minilang.compile_fallbacks").inc();
-    slot->state.store(2, std::memory_order_release);
-    return nullptr;
-  }
   obs::counter("psf.minilang.methods_compiled").inc();
-  if (optimize_enabled()) {
-    // The code was created a few lines up and is still exclusively owned, so
-    // shedding const for the in-place optimization pass is sound.
-    auto mutable_code = std::const_pointer_cast<CompiledMethod>(result.code);
-    const OptimizeStats opt = optimize_method(*mutable_code);
-    obs::counter("psf.minilang.opt_loads_cse").inc(opt.loads_cse);
-    obs::counter("psf.minilang.opt_insns_removed").inc(opt.insns_removed);
+  if (slot->code == nullptr) {
+    slot->code = std::move(code);
+    slot->ready.store(true, std::memory_order_release);
+    return *slot->code;
   }
-  slot->code = std::move(result.code);
-  slot->state.store(1, std::memory_order_release);
-  return slot->code.get();
+  slot->others.push_back(std::move(code));
+  return *slot->others.back();
 }
 
 namespace {
@@ -856,10 +846,7 @@ std::string disassemble(const CompiledMethod& m) {
         out << " \"" << m.names[insn.b] << "\"";
         break;
     }
-    if (insn.op == Op::kCallMember && insn.d != 0) {
-      out << " [ic " << insn.d << "]";
-    }
-    if (insn.cost != 1) out << " [cost " << insn.cost << "]";
+    if (insn.op == Op::kCallMember) out << " [ic " << insn.d << "]";
     if (insn.line != 0) out << "  ; line " << insn.line;
     out << "\n";
   }

@@ -11,15 +11,15 @@
 //    class's sorted field layout;
 //  - self-calls bind directly to the resolved MethodDef;
 //  - builtins bind to their table index;
-//  - literal subexpressions are constant-folded into the constant pool.
+//  - literal subexpressions are constant-folded into the constant pool;
+//  - every member-call site gets its own inline-cache slot.
 //
-// A compiled method is tied to the exact ClassDef it was compiled against
-// (`self_class`): the engine checks identity before entering the VM and
-// falls back to the tree-walking interpreter on mismatch (an inherited
-// method invoked through a subclass with a different field layout), on
-// compile failure, or when PSF_MINILANG_EXEC=interp. Fallbacks are counted
-// in psf.minilang.interp_fallbacks; by construction the VM is value- and
-// side-effect-identical to the interpreter (tests/bytecode_diff_test.cpp).
+// Compiled code is tied to the exact ClassDef it was compiled against
+// (`self_class`). An inherited method invoked through a subclass with a
+// different field layout gets its own code, compiled for that subclass. The
+// VM is the only production engine; tests/support/minilang_oracle keeps the
+// original tree-walking evaluator as the reference it must match
+// (tests/bytecode_diff_test.cpp).
 #pragma once
 
 #include <atomic>
@@ -74,19 +74,13 @@ struct Insn {
   std::uint16_t a = 0;
   std::uint16_t b = 0;
   std::uint16_t c = 0;
-  std::uint16_t d = 0;     // kCallMember: 1-based inline-cache slot, 0 = none
+  std::uint16_t d = 0;     // kCallMember: 1-based inline-cache slot
   std::int32_t imm = 0;
   std::uint32_t line = 0;  // source line, for runtime error messages
-  // Step-budget units this instruction charges. The compiler emits cost 1
-  // everywhere; the optimizer folds the cost of each eliminated instruction
-  // into the next retained instruction of the same basic block, so optimized
-  // code hits "step limit exceeded" at exactly the same observable point as
-  // the unoptimized bytecode (eliminated ops are side-effect-free).
-  std::uint16_t cost = 1;
 };
 
-/// One monomorphic call-site cache for kCallMember dispatch (optimizer
-/// allocated, PSF_MINILANG_OPT). Filled on first dispatch — or seeded by VIG
+/// One monomorphic call-site cache for kCallMember dispatch (one per site,
+/// allocated by the compiler). Filled on first dispatch — or seeded by VIG
 /// from deployment-analysis facts — with the receiver class and the resolved
 /// public method. The VM hits it only when the receiver's ClassDef pointer
 /// matches exactly; any other receiver falls back to the named slow path.
@@ -118,41 +112,35 @@ struct CompiledMethod {
 /// Per-MethodDef compilation cache. Created by ClassRegistry::register_class
 /// (and MethodDef::clone) so the slot always exists before a method can be
 /// invoked; the lazy compile in the engine then needs no pointer race.
-/// state: 0 = not compiled, 1 = ready (code immutable), 2 = failed.
+/// `code` holds the code for the first concrete class the method ran on and
+/// is read lock-free once `ready` is set; code for any other class (an
+/// inherited method called through a subclass) lives in `others`, guarded by
+/// `mu`.
 struct CompiledSlot {
   std::mutex mu;
-  std::atomic<int> state{0};
+  std::atomic<bool> ready{false};
   std::shared_ptr<const CompiledMethod> code;
+  std::vector<std::shared_ptr<const CompiledMethod>> others;
 };
 
-struct CompileOptions {
-  /// Registers a method may use before the compiler gives up and the method
-  /// stays on the interpreter (fallback is counted, never an error).
-  std::uint32_t max_registers = 250;
-};
-
-struct CompileResult {
-  std::shared_ptr<const CompiledMethod> code;  // null on failure
-  std::string error;                           // why compilation was refused
-  bool ok() const { return code != nullptr; }
+/// A method body the compiler cannot encode: more than 65535 registers,
+/// names, self-call targets or member-call sites (the 16-bit operand
+/// ceiling). The message names the method, its class and the reason.
+class CompileError : public EvalError {
+ public:
+  using EvalError::EvalError;
 };
 
 /// Compile `method` against `cls`'s field layout (fields are resolved over
-/// `registry.all_fields(cls)`). Never throws: unsupported shapes are
-/// reported in CompileResult::error. Does not touch the method's slot.
-CompileResult compile_method(const ClassRegistry& registry,
-                             const ClassDef& cls, const MethodDef& method,
-                             const CompileOptions& options = {});
-
-/// Compile-and-publish into the method's CompiledSlot (thread-safe, at most
-/// one compile per slot). Returns the published code, or nullptr when the
-/// method is native, has no slot, or failed to compile (the failure is
-/// remembered). Updates psf.minilang.{compile_us,methods_compiled} and, on
-/// failure, psf.minilang.compile_fallbacks.
-const CompiledMethod* ensure_compiled(const ClassRegistry& registry,
+/// `registry.all_fields(cls)`) and publish the code into the method's
+/// CompiledSlot, or return the code already published for `cls`
+/// (thread-safe, at most one compile per (slot, class)). Throws CompileError
+/// when the body cannot be lowered, and EvalError for a native method or one
+/// whose class was never registered (no slot). Updates
+/// psf.minilang.{compile_us,methods_compiled}.
+const CompiledMethod& ensure_compiled(const ClassRegistry& registry,
                                       const ClassDef& cls,
-                                      const MethodDef& method,
-                                      const CompileOptions& options = {});
+                                      const MethodDef& method);
 
 /// Human-readable listing of a compiled method: header, constant pool,
 /// register names, and one line per instruction (vig_cli --dump-bytecode).

@@ -1,11 +1,11 @@
-// Tree-walking interpreter for MiniLang. One Interpreter per call; it is
-// cheap (a couple of pointers). Step and depth limits guard against runaway
-// spliced code — VIG validation should catch bad code first, but the
-// interpreter is the last line of defense.
+// MiniLang execution entry points. Every non-native method body runs as
+// register bytecode (compile.hpp), compiled on first use — or at view
+// generation time by VIG — and executed by the threaded VM (vm.hpp). Step
+// and depth limits guard against runaway spliced code: VIG validation
+// should catch bad code first, but the engine is the last line of defense.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,24 +14,9 @@
 
 namespace psf::minilang {
 
-/// How method bodies execute: the tree-walking interpreter, or register
-/// bytecode compiled on first use (compile.hpp) and run by the threaded VM
-/// (vm.hpp). Bytecode is the default; methods the compiler cannot handle
-/// fall back to the interpreter per call, counted in
-/// psf.minilang.interp_fallbacks. The two engines are value- and
-/// side-effect-identical (tests/bytecode_diff_test.cpp).
-enum class ExecMode { kInterp, kBytecode };
-
-/// Process-wide default: PSF_MINILANG_EXEC=interp selects the tree walker,
-/// anything else (including unset) selects bytecode. Read once and cached.
-ExecMode default_exec_mode();
-
 struct InterpOptions {
-  std::size_t max_steps = 2'000'000;
+  std::size_t max_steps = 2'000'000;  // one step per bytecode instruction
   std::size_t max_depth = 128;
-  /// Per-call engine override; unset means default_exec_mode(). Benches and
-  /// the differential suite use this to pin both engines in one process.
-  std::optional<ExecMode> exec;
 };
 
 /// Create an instance of `class_name` and run its `constructor` method (if
@@ -47,7 +32,7 @@ Value invoke_method(const std::shared_ptr<Instance>& self,
                     const std::string& method, std::vector<Value> args,
                     bool external, InterpOptions options = {});
 
-/// Invoke an already-resolved method on `self` in a fresh engine — exactly
+/// Invoke an already-resolved method on `self` in a fresh Engine — exactly
 /// what Instance::call does after its name lookup and visibility check. The
 /// VM's inline-cache hit path uses this; callers must guarantee `method`
 /// is the public method the name lookup would have found (the IC guard does).
@@ -55,11 +40,7 @@ Value invoke_method_resolved(const std::shared_ptr<Instance>& self,
                              const MethodDef& method, std::vector<Value> args,
                              InterpOptions options = {});
 
-/// Evaluate a standalone expression with no `this` (literals, arithmetic,
-/// builtins). Used by tests.
-Value eval_standalone(const std::string& source, InterpOptions options = {});
-
-/// Names of all interpreter builtins (VIG treats these as always-defined).
+/// Names of all builtins (VIG treats these as always-defined).
 const std::vector<std::string>& builtin_names();
 
 }  // namespace psf::minilang

@@ -63,6 +63,10 @@ void ClassRegistry::register_class(std::shared_ptr<ClassDef> cls) {
   classes_[cls->name] = std::move(cls);
 }
 
+void ClassRegistry::unregister_class(const std::string& name) {
+  classes_.erase(name);
+}
+
 void ClassRegistry::register_interface(InterfaceDef iface) {
   interfaces_[iface.name] = std::move(iface);
 }

@@ -64,8 +64,8 @@ struct MethodDef {
   // creates it (and clone() makes a fresh one) so it always exists before
   // the method can be invoked; the engine compiles into it lazily, VIG at
   // generation time. Compiled code is keyed to a concrete ClassDef — a
-  // plain struct copy shares the slot and simply falls back to the
-  // interpreter on the class-identity check, so sharing is safe, just slow.
+  // plain struct copy shares the slot and gets its own code for its class
+  // on first use, so sharing is safe.
   std::shared_ptr<CompiledSlot> compiled;
 
   MethodDef clone() const;
@@ -73,7 +73,7 @@ struct MethodDef {
 
 struct FieldDef {
   std::string name;
-  std::string type;  // informational (codegen); the interpreter is dynamic
+  std::string type;  // informational (codegen); MiniLang is dynamically typed
   Value initial;     // default null
 };
 
@@ -101,6 +101,9 @@ struct ClassDef {
 class ClassRegistry {
  public:
   void register_class(std::shared_ptr<ClassDef> cls);
+  /// Drop the class registered under `name` (VIG takes back a view it
+  /// refused after registering it for compilation).
+  void unregister_class(const std::string& name);
   void register_interface(InterfaceDef iface);
 
   std::shared_ptr<const ClassDef> find_class(const std::string& name) const;

@@ -87,7 +87,7 @@ class Value {
   Data data_;
 };
 
-/// Error thrown by the interpreter and value accessors.
+/// Error thrown by the engine and value accessors.
 class EvalError : public std::runtime_error {
  public:
   explicit EvalError(const std::string& message)

@@ -3,14 +3,12 @@
 #include <string>
 
 #include "minilang/builtins.hpp"
-#include "minilang/interp.hpp"
 #include "obs/metrics.hpp"
 
 // Dispatch strategy: computed goto (a direct threaded jump per instruction,
 // no bounds re-check, branch predictors see one indirect branch per opcode
 // site) on GCC/Clang, a plain switch loop elsewhere. Define
-// PSF_VM_NO_COMPUTED_GOTO to force the portable loop — the differential
-// suite runs against both shapes via the sanitizer matrix.
+// PSF_VM_NO_COMPUTED_GOTO to force the portable loop.
 #if defined(__GNUC__) && !defined(PSF_VM_NO_COMPUTED_GOTO)
 #define PSF_VM_COMPUTED_GOTO 1
 #endif
@@ -19,8 +17,9 @@ namespace psf::minilang {
 
 namespace {
 
-// The arithmetic/comparison helpers replicate interp.cpp's eval_binary
-// byte-for-byte (operand evaluation order, error strings, type coercions);
+// The arithmetic/comparison helpers define MiniLang's operator semantics
+// (operand evaluation order, error strings, type coercions); the
+// tree-walking oracle in tests/support replicates them and
 // tests/bytecode_diff_test.cpp pins the equivalence.
 
 Value op_add(const Value& lhs, const Value& rhs) {
@@ -129,12 +128,11 @@ void index_set(const Value& object, const Value& key, Value value) {
   throw EvalError("cannot index-assign " + object.type_name());
 }
 
-// First-dispatch inline-cache fill (optimizer-allocated sites only). Caches
-// exclusively the monomorphic happy case: the receiver's ClassDef is the one
-// currently registered under its name and declares the method itself as
-// public. Anything else — inherited resolution, private targets, stale class
-// generations — marks the site uncacheable so the named slow path stays
-// authoritative.
+// First-dispatch inline-cache fill. Caches exclusively the monomorphic
+// happy case: the receiver's ClassDef is the one currently registered under
+// its name and declares the method itself as public. Anything else —
+// inherited resolution, private targets, stale class generations — marks the
+// site uncacheable so the named slow path stays authoritative.
 void fill_inline_cache(InlineCache& ic, const Instance& instance,
                        const std::string& name) {
   int expected = 0;
@@ -178,7 +176,7 @@ bool seed_inline_cache(InlineCache& ic, std::shared_ptr<const ClassDef> cls,
 
 Value vm_execute(const CompiledMethod& m,
                  const std::shared_ptr<Instance>& self,
-                 std::vector<Value> args, VmHost& host, std::size_t& steps,
+                 std::vector<Value> args, Engine& engine, std::size_t& steps,
                  std::size_t max_steps) {
   std::vector<Value> regs(m.num_registers);
   std::vector<unsigned char> defined(m.num_locals, 0);
@@ -214,8 +212,7 @@ Value vm_execute(const CompiledMethod& m,
 #define VM_NEXT()                                                      \
   do {                                                                 \
     insn = &code[ip++];                                                \
-    steps += insn->cost;                                               \
-    if (steps > max_steps) throw EvalError("step limit exceeded");     \
+    if (++steps > max_steps) throw EvalError("step limit exceeded");   \
     goto* kTargets[static_cast<unsigned>(insn->op)];                   \
   } while (0)
 #define VM_OP(name) L_##name
@@ -225,8 +222,7 @@ Value vm_execute(const CompiledMethod& m,
 #define VM_OP(name) case Op::name
   for (;;) {
     insn = &code[ip++];
-    steps += insn->cost;
-    if (steps > max_steps) throw EvalError("step limit exceeded");
+    if (++steps > max_steps) throw EvalError("step limit exceeded");
     switch (insn->op) {
 #endif
 
@@ -377,8 +373,8 @@ Value vm_execute(const CompiledMethod& m,
   VM_OP(kCallSelf) : {
     std::vector<Value> call_args(regs.begin() + insn->c,
                                  regs.begin() + insn->c + insn->imm);
-    regs[insn->a] =
-        host.vm_call_self(self, *m.self_methods[insn->b], std::move(call_args));
+    regs[insn->a] = engine.invoke_resolved(self, *m.self_methods[insn->b],
+                                           std::move(call_args));
   }
   VM_NEXT();
 
@@ -394,10 +390,10 @@ Value vm_execute(const CompiledMethod& m,
     auto instance = std::dynamic_pointer_cast<Instance>(receiver.as_object());
     if (instance != nullptr && instance.get() == self.get()) {
       // Calls on `this` stay internal (private methods allowed).
-      regs[insn->a] = host.vm_call_internal(instance, m.names[insn->b],
-                                            std::move(call_args));
-    } else if (instance != nullptr && insn->d != 0) {
-      // Monomorphic inline cache (optimizer-allocated). A hit skips the name
+      regs[insn->a] = engine.invoke(instance, m.names[insn->b],
+                                    std::move(call_args), /*external=*/false);
+    } else if (instance != nullptr) {
+      // Monomorphic inline cache (one per site). A hit skips the name
       // resolution but keeps Instance::call semantics exactly: fresh engine,
       // default budgets, public target. Any guard mismatch falls back to the
       // named slow path, which also fills an empty cache.

@@ -4,47 +4,54 @@
 // PSF_VM_NO_COMPUTED_GOTO is defined at build time).
 //
 // The VM owns only the register file of one activation. Everything with
-// cross-call state stays in the engine that called it, reached through
-// VmHost: nested self-calls re-enter the engine (depth/step accounting,
-// arity checks and coherence brackets all run there, and the callee may
-// itself execute as bytecode or tree-walk), and the step counter is the
-// engine's own, shared so a deep mixed interp/bytecode stack hits one
-// common "step limit exceeded" budget.
+// cross-call state stays in the Engine that called it: nested self-calls
+// re-enter the engine (depth/step accounting, arity checks and coherence
+// brackets all run there), and the step counter is the engine's own, shared
+// so a deep call stack hits one common "step limit exceeded" budget.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "minilang/compile.hpp"
+#include "minilang/interp.hpp"
 
 namespace psf::minilang {
 
-/// Callbacks into the invoking engine (implemented by interp.cpp's Engine).
-class VmHost {
+/// The call driver behind instantiate / invoke_method / Instance::call
+/// (interp.cpp). One Engine serves one top-level invocation and every
+/// in-language call it makes on the same receiver chain; calls on other
+/// objects go through Instance::call and get a fresh Engine.
+class Engine {
  public:
-  virtual ~VmHost() = default;
+  explicit Engine(InterpOptions options) : options_(options) {}
 
-  /// A self-call resolved at compile time (kCallSelf): run `method` on
-  /// `self` with internal visibility, depth/arity/coherence included.
-  virtual Value vm_call_self(const std::shared_ptr<Instance>& self,
-                             const MethodDef& method,
-                             std::vector<Value> args) = 0;
+  /// Resolve `method_name` on `self` and run it. `external` enforces public
+  /// visibility (an in-language `this.m()` or bare `m()` call is internal).
+  Value invoke(const std::shared_ptr<Instance>& self,
+               const std::string& method_name, std::vector<Value> args,
+               bool external);
 
-  /// A member call whose receiver turned out to be `self` at run time
-  /// (kCallMember): internal invocation by name, private methods allowed.
-  virtual Value vm_call_internal(const std::shared_ptr<Instance>& self,
-                                 const std::string& method,
-                                 std::vector<Value> args) = 0;
+  /// Run an already-resolved method: depth limit, arity check, coherence
+  /// hooks, then the native function or the method's compiled bytecode.
+  Value invoke_resolved(const std::shared_ptr<Instance>& self,
+                        const MethodDef& method, std::vector<Value> args);
+
+ private:
+  InterpOptions options_;
+  std::size_t steps_ = 0;
+  std::size_t depth_ = 0;
 };
 
 /// Execute `method` on `self` with `args` already arity-checked by the
 /// caller. `steps` is the engine's step counter; each dispatched instruction
-/// increments it and the run aborts with "step limit exceeded" past
-/// `max_steps`. Throws EvalError exactly where the interpreter would.
+/// charges one step and the run aborts with "step limit exceeded" past
+/// `max_steps`. Nested self-calls re-enter `engine`.
 Value vm_execute(const CompiledMethod& method,
                  const std::shared_ptr<Instance>& self,
-                 std::vector<Value> args, VmHost& host, std::size_t& steps,
+                 std::vector<Value> args, Engine& engine, std::size_t& steps,
                  std::size_t max_steps);
 
 /// Install (cls, method) into an empty inline-cache slot — VIG seeds caches

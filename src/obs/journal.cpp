@@ -441,7 +441,6 @@ std::string event_name(std::uint16_t subsystem, std::uint16_t code) {
       switch (code) {
         case kViFullImageFallback: return "full-image-fallback";
         case kViVigGenerate: return "vig-generate";
-        case kViBytecodeFallback: return "bytecode-fallback";
         case kViMemberStrip: return "member-strip";
       }
       break;

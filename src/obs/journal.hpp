@@ -76,7 +76,7 @@ enum DrbacEvent : std::uint16_t {
 enum ViewsEvent : std::uint16_t {
   kViFullImageFallback = 1,  // a0=instance uid, a1=image bytes
   kViVigGenerate = 2,        // a0=tag(view name), a1=tag(represented class)
-  kViBytecodeFallback = 3,   // a0=tag(view name), a1=tag(method name)
+  // 3 is retired (bytecode-fallback); codes are never reused.
   kViMemberStrip = 4,        // a0=tag(view name), a1=methods stripped,
                              //   a2=fields stripped
 };

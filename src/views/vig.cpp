@@ -478,54 +478,60 @@ util::Result<std::shared_ptr<ClassDef>> Vig::generate(
   }
   view->methods = std::move(methods);
 
+  // Compilation resolves fields through the registry, so the class must be
+  // registered first; a refused view is taken back out (restoring whatever
+  // class held the name before) so the generation cache never serves it.
+  const std::shared_ptr<const ClassDef> displaced =
+      registry_->find_class(def.name);
   registry_->register_class(view);
 
   // Generation-time lowering: compile every view method body now, so the
-  // first dispatch pays no compile latency and unsupported constructs are
-  // discovered (and journaled) at generation rather than mid-request. A
-  // method the compiler rejects simply stays on the tree-walker.
-  if (minilang::default_exec_mode() == minilang::ExecMode::kBytecode) {
-    // IC seeding: a deployment fact proving a member-call site monomorphic
-    // lets generation pre-fill the site's inline cache with the receiver
-    // class, so even the first dispatch skips the name-hash lookup. The
-    // VM's receiver guard keeps a stale or wrong fact harmless.
-    auto seed_caches = [&](const MethodDef& m,
-                           const minilang::CompiledMethod& code) {
-      if (options_.deployment_facts == nullptr || code.num_caches == 0) {
-        return;
-      }
-      for (const minilang::Insn& insn : code.code) {
-        if (insn.op != minilang::Op::kCallMember || insn.d == 0) continue;
-        const std::string& member = code.names[insn.b];
-        for (const analysis::CallSiteFact& fact : *options_.deployment_facts) {
-          if (!fact.monomorphic || fact.view != def.name ||
-              fact.method != m.name || fact.member != member) {
-            continue;
-          }
-          auto receiver = registry_->find_class(fact.receiver_class);
-          if (receiver == nullptr) break;
-          const MethodDef* target = receiver->find_method(member);
-          if (minilang::seed_inline_cache(code.caches[insn.d - 1],
-                                          std::move(receiver), target)) {
-            ++stats_.caches_seeded;
-          }
-          break;
+  // first dispatch pays no compile latency and a body the compiler cannot
+  // encode refuses the view here rather than failing mid-request.
+  //
+  // IC seeding: a deployment fact proving a member-call site monomorphic
+  // lets generation pre-fill the site's inline cache with the receiver
+  // class, so even the first dispatch skips the name-hash lookup. The VM's
+  // receiver guard keeps a stale or wrong fact harmless.
+  auto seed_caches = [&](const MethodDef& m,
+                         const minilang::CompiledMethod& code) {
+    if (options_.deployment_facts == nullptr || code.num_caches == 0) return;
+    for (const minilang::Insn& insn : code.code) {
+      if (insn.op != minilang::Op::kCallMember) continue;
+      const std::string& member = code.names[insn.b];
+      for (const analysis::CallSiteFact& fact : *options_.deployment_facts) {
+        if (!fact.monomorphic || fact.view != def.name ||
+            fact.method != m.name || fact.member != member) {
+          continue;
         }
+        auto receiver = registry_->find_class(fact.receiver_class);
+        if (receiver == nullptr) break;
+        const MethodDef* target = receiver->find_method(member);
+        if (minilang::seed_inline_cache(code.caches[insn.d - 1],
+                                        std::move(receiver), target)) {
+          ++stats_.caches_seeded;
+        }
+        break;
       }
-    };
-    for (const MethodDef& m : view->methods) {
-      if (m.is_native) continue;
-      if (const minilang::CompiledMethod* code =
-              minilang::ensure_compiled(*registry_, *view, m)) {
-        ++stats_.methods_compiled;
-        seed_caches(m, *code);
+    }
+  };
+  for (const MethodDef& m : view->methods) {
+    if (m.is_native) continue;
+    try {
+      seed_caches(m, minilang::ensure_compiled(*registry_, *view, m));
+      ++stats_.methods_compiled;
+    } catch (const minilang::CompileError& e) {
+      if (displaced != nullptr) {
+        registry_->register_class(std::const_pointer_cast<ClassDef>(displaced));
       } else {
-        ++stats_.compile_fallbacks;
-        obs::journal::emit(obs::journal::Subsystem::kViews,
-                           obs::journal::kViBytecodeFallback,
-                           obs::journal::tag(def.name),
-                           obs::journal::tag(m.name));
+        registry_->unregister_class(def.name);
       }
+      metrics.failures.inc();
+      diagnostics_.push_back(
+          VigDiagnostic{def.name, "method " + m.name, e.what(), "", "", true});
+      return util::Result<std::shared_ptr<ClassDef>>::failure(
+          "vig", "error generating view '" + def.name + "':\n  " +
+                     diagnostics_.back().display());
     }
   }
 

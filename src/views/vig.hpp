@@ -70,10 +70,9 @@ struct VigStats {
   std::size_t cache_hits = 0;
   /// Dead added members dropped across all generate() calls.
   std::size_t members_stripped = 0;
-  /// View methods lowered to bytecode at generation time, and those the
-  /// compiler could not handle (they stay on the tree-walker).
+  /// View methods lowered to bytecode at generation time. A method the
+  /// compiler cannot encode refuses the whole view instead.
   std::size_t methods_compiled = 0;
-  std::size_t compile_fallbacks = 0;
   /// Inline-cache slots pre-filled from deployment facts at generation time.
   std::size_t caches_seeded = 0;
 };

@@ -1,30 +1,30 @@
-// Differential suite for the two MiniLang execution engines (DESIGN.md §4j):
-// every method body must produce the same value, the same field mutations,
-// the same coherence image, and the same error message whether it runs on
-// the tree-walking interpreter or the register-bytecode VM. Each scenario
-// runs twice — once pinned to each engine via InterpOptions::exec — against
+// Differential suite for MiniLang (DESIGN.md §4j): every method body must
+// produce the same value, the same field mutations, the same coherence
+// image, and the same error message on the register-bytecode VM — the only
+// production engine — as on the tree-walking oracle
+// (support/minilang_oracle.hpp). Each scenario runs once per engine against
 // a fresh instance, and the full outcome transcripts are compared.
 //
 // Coverage: every builtin, the arithmetic/comparison/logical operator
 // surface, control flow (loops, break/continue, short-circuit), dynamic
 // locals, the five in-tree mail views plus the good_* analysis fixtures,
 // error parity (division by zero, undefined variables, bad indexing, step
-// limits), and the per-method interpreter fallback when compilation fails.
+// limits), inherited methods across field layouts, and the shapes the
+// compiler once refused (duplicate parameters, `var this`, wide bodies).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mail/components.hpp"
 #include "minilang/compile.hpp"
 #include "minilang/interp.hpp"
-#include "minilang/optimize.hpp"
 #include "minilang/parser.hpp"
 #include "obs/metrics.hpp"
+#include "support/minilang_oracle.hpp"
 #include "views/cache.hpp"
 #include "views/vig.hpp"
 
@@ -34,7 +34,6 @@ namespace {
 using minilang::ClassDef;
 using minilang::ClassRegistry;
 using minilang::EvalError;
-using minilang::ExecMode;
 using minilang::Instance;
 using minilang::InterpOptions;
 using minilang::MethodDef;
@@ -49,15 +48,19 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+enum class Engine { kOracle, kVm };
+
 // One call's observable outcome: tagged result or the exact error text.
 std::string call_outcome(const std::shared_ptr<Instance>& self,
                          const std::string& method, std::vector<Value> args,
-                         ExecMode mode) {
-  InterpOptions options;
-  options.exec = mode;
+                         Engine engine, InterpOptions options = {}) {
   try {
-    Value v = minilang::invoke_method(self, method, std::move(args),
-                                      /*external=*/true, options);
+    Value v = engine == Engine::kVm
+                  ? minilang::invoke_method(self, method, std::move(args),
+                                            /*external=*/true, options)
+                  : minilang::oracle::invoke_method(
+                        self, method, std::move(args), /*external=*/true,
+                        options);
     return "ok " + v.type_name() + ":" + v.to_display_string();
   } catch (const EvalError& e) {
     return std::string("error ") + e.what();
@@ -85,19 +88,21 @@ std::string transcript(const ClassRegistry& registry,
                        std::vector<Value> ctor_args,
                        const std::vector<std::pair<std::string,
                                                    std::vector<Value>>>& calls,
-                       ExecMode mode) {
-  InterpOptions options;
-  options.exec = mode;
+                       Engine engine) {
   std::ostringstream os;
   std::shared_ptr<Instance> self;
   try {
-    self = minilang::instantiate(registry, class_name, std::move(ctor_args),
-                                 options);
+    self = engine == Engine::kVm
+               ? minilang::instantiate(registry, class_name,
+                                       std::move(ctor_args))
+               : minilang::oracle::instantiate(registry, class_name,
+                                               std::move(ctor_args));
   } catch (const EvalError& e) {
     return std::string("ctor error ") + e.what();
   }
   for (const auto& [method, args] : calls) {
-    os << method << " -> " << call_outcome(self, method, args, mode) << "\n";
+    os << method << " -> " << call_outcome(self, method, args, engine)
+       << "\n";
   }
   os << "-- fields --\n" << field_snapshot(registry, *self);
   os << "-- image --\n" << util::to_hex(views::instance_image(*self)) << "\n";
@@ -108,11 +113,11 @@ void expect_engines_agree(
     const ClassRegistry& registry, const std::string& class_name,
     const std::vector<Value>& ctor_args,
     const std::vector<std::pair<std::string, std::vector<Value>>>& calls) {
-  const std::string interp =
-      transcript(registry, class_name, ctor_args, calls, ExecMode::kInterp);
-  const std::string bytecode =
-      transcript(registry, class_name, ctor_args, calls, ExecMode::kBytecode);
-  EXPECT_EQ(interp, bytecode) << class_name;
+  const std::string oracle =
+      transcript(registry, class_name, ctor_args, calls, Engine::kOracle);
+  const std::string vm =
+      transcript(registry, class_name, ctor_args, calls, Engine::kVm);
+  EXPECT_EQ(oracle, vm) << class_name;
 }
 
 // Build a one-class registry from (name, params, body) method triples.
@@ -267,23 +272,18 @@ TEST(BytecodeDiff, ErrorMessagesAgree) {
 TEST(BytecodeDiff, StepLimitAgrees) {
   auto registry = make_registry(
       "Spin", {{"spin", {}, "var i = 0; while (true) { i = i + 1; }"}});
-  for (ExecMode mode : {ExecMode::kInterp, ExecMode::kBytecode}) {
-    InterpOptions options;
-    options.exec = mode;
-    options.max_steps = 10'000;
-    auto obj = minilang::instantiate(*registry, "Spin", {}, options);
-    try {
-      minilang::invoke_method(obj, "spin", {}, /*external=*/true, options);
-      FAIL() << "step limit did not fire";
-    } catch (const EvalError& e) {
-      EXPECT_STREQ(e.what(), "step limit exceeded");
-    }
+  InterpOptions options;
+  options.max_steps = 10'000;
+  auto obj = minilang::instantiate(*registry, "Spin");
+  for (Engine engine : {Engine::kOracle, Engine::kVm}) {
+    EXPECT_EQ(call_outcome(obj, "spin", {}, engine, options),
+              "error step limit exceeded");
   }
 }
 
 // ----------------------------------------------------------- view classes
 
-// Generate a view, then run its public scripted methods under both engines
+// Generate a view, then run its public scripted methods on both engines
 // and require identical transcripts (results, fields, coherence image).
 void diff_view(ClassRegistry& registry, const std::string& xml,
                const std::vector<std::pair<std::string,
@@ -369,64 +369,12 @@ TEST(BytecodeDiff, GoodAnalysisFixtureViewsAgree) {
   }
 }
 
-// ------------------------------------------------------ fallback behaviour
+// ------------------------------------------------------- hot-path bodies
 
-TEST(BytecodeDiff, FailedCompileFallsBackToInterpreter) {
-  auto registry = make_registry(
-      "Fb", {{"work", {"a", "b"}, "return a * 10 + b;"}});
-  const auto cls = registry->find_class("Fb");
-  const MethodDef* method = cls->find_method("work");
-  ASSERT_NE(method, nullptr);
-
-  // Poison the method's compile slot: a 1-register budget cannot hold the
-  // parameters, so compilation fails and the failure sticks.
-  minilang::CompileOptions tiny;
-  tiny.max_registers = 1;
-  EXPECT_EQ(minilang::ensure_compiled(*registry, *cls, *method, tiny),
-            nullptr);
-
-  auto& fallbacks = obs::counter("psf.minilang.interp_fallbacks");
-  const std::uint64_t before = fallbacks.value();
-
-  auto obj = minilang::instantiate(*registry, "Fb");
-  InterpOptions options;
-  options.exec = ExecMode::kBytecode;
-  const Value v = minilang::invoke_method(
-      obj, "work", {Value::integer(4), Value::integer(2)}, /*external=*/true,
-      options);
-  EXPECT_EQ(v.as_int(), 42);  // interpreter answered
-  EXPECT_GT(fallbacks.value(), before);
-}
-
-// ------------------------------------------ optimizer (PSF_MINILANG_OPT)
-
-// Scoped PSF_MINILANG_OPT override; restores the prior value on exit so the
-// rest of the suite keeps running under the build's ambient setting.
-class OptEnv {
- public:
-  explicit OptEnv(const char* value) {
-    const char* prior = std::getenv("PSF_MINILANG_OPT");
-    had_prior_ = prior != nullptr;
-    if (had_prior_) prior_ = prior;
-    setenv("PSF_MINILANG_OPT", value, 1);
-  }
-  ~OptEnv() {
-    if (had_prior_) {
-      setenv("PSF_MINILANG_OPT", prior_.c_str(), 1);
-    } else {
-      unsetenv("PSF_MINILANG_OPT");
-    }
-  }
-
- private:
-  bool had_prior_ = false;
-  std::string prior_;
-};
-
-// Bodies the optimizer actually transforms: repeated field loads inside one
-// expression (field-load CSE), redundant local copies (move forwarding),
-// plus branches and calls that must invalidate availability.
-std::shared_ptr<ClassRegistry> make_opt_registry() {
+// Bodies that stress register reuse: repeated field loads inside one
+// expression, chains of local copies, stores followed by reloads, and
+// branches and calls between field reads.
+std::shared_ptr<ClassRegistry> make_hotspot_registry() {
   return make_registry(
       "Hotspot",
       {
@@ -460,120 +408,255 @@ std::shared_ptr<ClassRegistry> make_opt_registry() {
        {"acc", Value::integer(0)}});
 }
 
-const std::vector<std::pair<std::string, std::vector<Value>>>& opt_calls() {
-  static const std::vector<std::pair<std::string, std::vector<Value>>> calls =
-      {{"fieldExpr", {Value::integer(6)}},
-       {"copies", {Value::integer(5)}},
-       {"storeReload", {Value::integer(40)}},
-       {"branchy", {Value::integer(3)}},
-       {"branchy", {Value::integer(-3)}},
-       {"fieldExpr", {Value::integer(0)}}};
-  return calls;
-}
-
-TEST(BytecodeDiff, OptimizedAndUnoptimizedTranscriptsAgree) {
-  std::string unopt, opt, interp;
-  {
-    OptEnv off("0");
-    unopt = transcript(*make_opt_registry(), "Hotspot", {}, opt_calls(),
-                       ExecMode::kBytecode);
-    interp = transcript(*make_opt_registry(), "Hotspot", {}, opt_calls(),
-                        ExecMode::kInterp);
-  }
-  {
-    OptEnv on("1");
-    opt = transcript(*make_opt_registry(), "Hotspot", {}, opt_calls(),
-                     ExecMode::kBytecode);
-  }
-  EXPECT_EQ(unopt, opt);
-  EXPECT_EQ(interp, opt);
-}
-
-TEST(BytecodeDiff, OptimizedViewsAgreeWithUnoptimized) {
-  const std::string xmls[] = {mail::view_xml_member(), mail::view_xml_partner(),
-                              mail::view_xml_anonymous(),
-                              mail::view_xml_mail_server_cache(),
-                              mail::view_xml_client_replica()};
-  for (const std::string& xml : xmls) {
-    std::string transcripts[2];
-    for (int on = 0; on < 2; ++on) {
-      OptEnv env(on == 0 ? "0" : "1");
-      ClassRegistry registry;
-      mail::register_all(registry);
-      auto def = views::ViewDefinition::from_xml(xml);
-      ASSERT_TRUE(def.ok());
-      views::Vig vig(&registry);
-      auto cls = vig.generate(def.value());
-      ASSERT_TRUE(cls.ok()) << cls.error().message;
-      transcripts[on] = transcript(registry, cls.value()->name, {},
-                                   zero_arg_calls(*cls.value()),
-                                   ExecMode::kBytecode);
-    }
-    EXPECT_EQ(transcripts[0], transcripts[1]);
-  }
-}
-
-TEST(BytecodeDiff, OptimizerShrinksCodeAndConservesStepCost) {
-  auto compiled_field_expr = [](const char* env) {
-    OptEnv guard(env);
-    auto registry = make_opt_registry();
-    const auto cls = registry->find_class("Hotspot");
-    const MethodDef* method = cls->find_method("fieldExpr");
-    const minilang::CompiledMethod* code =
-        minilang::ensure_compiled(*registry, *cls, *method);
-    EXPECT_NE(code, nullptr);
-    // Keep the registry alive through the shared compiled slot.
-    struct Held {
-      std::shared_ptr<ClassRegistry> registry;
-      const minilang::CompiledMethod* code;
-    };
-    return Held{registry, code};
-  };
-  const auto unopt = compiled_field_expr("0");
-  const auto opt = compiled_field_expr("1");
-  ASSERT_NE(unopt.code, nullptr);
-  ASSERT_NE(opt.code, nullptr);
-  EXPECT_LT(opt.code->code.size(), unopt.code->code.size());
-  // Every eliminated instruction folded its unit cost into a retained
-  // successor, so the static cost total is invariant — the basis of
-  // step-limit parity.
-  auto total_cost = [](const minilang::CompiledMethod& m) {
-    return std::accumulate(
-        m.code.begin(), m.code.end(), std::size_t{0},
-        [](std::size_t acc, const minilang::Insn& i) { return acc + i.cost; });
-  };
-  EXPECT_EQ(total_cost(*opt.code), total_cost(*unopt.code));
-  EXPECT_EQ(total_cost(*unopt.code), unopt.code->code.size());
+TEST(BytecodeDiff, HotspotBodiesAgree) {
+  expect_engines_agree(*make_hotspot_registry(), "Hotspot", {},
+                       {{"fieldExpr", {Value::integer(6)}},
+                        {"copies", {Value::integer(5)}},
+                        {"storeReload", {Value::integer(40)}},
+                        {"branchy", {Value::integer(3)}},
+                        {"branchy", {Value::integer(-3)}},
+                        {"fieldExpr", {Value::integer(0)}}});
 }
 
 TEST(BytecodeDiff, StepLimitParityAcrossBudgetSweep) {
-  // The observable outcome (value, error text, or "step limit exceeded")
-  // must match between optimized and unoptimized bytecode at EVERY budget,
-  // not just generous ones — this is what the cost-folding rule guarantees.
-  for (std::size_t budget = 1; budget <= 160; ++budget) {
-    std::string outcomes[2];
-    for (int on = 0; on < 2; ++on) {
-      OptEnv env(on == 0 ? "0" : "1");
-      auto registry = make_opt_registry();
-      InterpOptions options;
-      options.exec = ExecMode::kBytecode;
-      options.max_steps = budget;
-      try {
-        auto obj = minilang::instantiate(*registry, "Hotspot", {}, options);
-        Value v = minilang::invoke_method(obj, "fieldExpr",
-                                          {Value::integer(2)},
-                                          /*external=*/true, options);
-        outcomes[on] = "ok " + v.to_display_string();
-      } catch (const EvalError& e) {
-        outcomes[on] = std::string("error ") + e.what();
+  // The engines charge steps differently — the VM one per instruction, the
+  // oracle one per statement, loop iteration and expression node — so the
+  // smallest budget that lets a call finish differs. What must hold at
+  // EVERY budget: each engine either finishes with the unlimited answer or
+  // stops with exactly "step limit exceeded" (never another error or a
+  // different value), and once it finishes it finishes at every larger
+  // budget. The sweep must cross both engines' thresholds.
+  auto registry = make_hotspot_registry();
+  auto outcome = [&](Engine engine, std::size_t budget) {
+    InterpOptions options;
+    options.max_steps = budget;
+    try {
+      auto obj = engine == Engine::kVm
+                     ? minilang::instantiate(*registry, "Hotspot", {}, options)
+                     : minilang::oracle::instantiate(*registry, "Hotspot", {},
+                                                     options);
+      return call_outcome(obj, "fieldExpr", {Value::integer(2)}, engine,
+                          options);
+    } catch (const EvalError& e) {
+      return std::string("error ") + e.what();
+    }
+  };
+  const std::string want = outcome(Engine::kOracle, 1'000'000);
+  ASSERT_EQ(want, outcome(Engine::kVm, 1'000'000));
+  ASSERT_EQ(want.rfind("ok ", 0), 0u) << want;
+  for (Engine engine : {Engine::kOracle, Engine::kVm}) {
+    bool finished = false;
+    for (std::size_t budget = 1; budget <= 160; ++budget) {
+      const std::string got = outcome(engine, budget);
+      if (got == want) {
+        finished = true;
+      } else {
+        EXPECT_FALSE(finished) << "budget " << budget << " regressed: " << got;
+        EXPECT_EQ(got, "error step limit exceeded") << "budget " << budget;
       }
     }
-    EXPECT_EQ(outcomes[0], outcomes[1]) << "budget " << budget;
+    EXPECT_TRUE(finished) << "engine " << static_cast<int>(engine)
+                          << " never finished within 160 steps";
   }
 }
 
+// ---------------------------------------------- inherited methods, layouts
+
+TEST(BytecodeDiff, InheritedMethodCompilesPerClassLayout) {
+  // Base declares `total` over field `b`; Derived adds field `a`, which
+  // sorts first and shifts `b` to slot 1. Calling the inherited method
+  // alternately on both must compile it once per class and match the
+  // oracle on each.
+  auto registry = make_registry(
+      "Base",
+      {{"constructor", {}, "b = 5;"},
+       {"total", {"k"}, "b = b + k; return b * 10;"}},
+      {{"b", Value::integer(0)}});
+  auto derived = std::make_shared<ClassDef>();
+  derived->name = "Derived";
+  derived->super_name = "Base";
+  derived->fields.push_back({"a", "int", Value::integer(100)});
+  registry->register_class(derived);
+
+  // One Base and one Derived instance, called alternately so the method
+  // switches layouts on every call.
+  auto alternate = [&](Engine engine) {
+    auto make = [&](const std::string& cls) {
+      return engine == Engine::kVm
+                 ? minilang::instantiate(*registry, cls)
+                 : minilang::oracle::instantiate(*registry, cls);
+    };
+    auto base_obj = make("Base");
+    auto derived_obj = make("Derived");
+    std::ostringstream os;
+    for (std::int64_t k = 1; k <= 3; ++k) {
+      os << call_outcome(base_obj, "total", {Value::integer(k)}, engine)
+         << "\n"
+         << call_outcome(derived_obj, "total", {Value::integer(10 * k)},
+                         engine)
+         << "\n";
+    }
+    os << field_snapshot(*registry, *base_obj) << "--\n"
+       << field_snapshot(*registry, *derived_obj);
+    return os.str();
+  };
+  const std::string vm = alternate(Engine::kVm);
+  EXPECT_EQ(alternate(Engine::kOracle), vm);
+  // The inherited store hit Derived's `b`, not the `a` now in slot 0.
+  EXPECT_NE(vm.find("--\na=int:100\nb=int:65\n"), std::string::npos) << vm;
+
+  const auto base = registry->find_class("Base");
+  const MethodDef* total = base->find_method("total");
+  const auto& base_code = minilang::ensure_compiled(*registry, *base, *total);
+  const auto& derived_code =
+      minilang::ensure_compiled(*registry, *derived, *total);
+  EXPECT_EQ(base_code.self_class, base.get());
+  EXPECT_EQ(derived_code.self_class, derived.get());
+  EXPECT_NE(&base_code, &derived_code);
+  // Published, not recompiled: a second lookup returns the same code.
+  EXPECT_EQ(&minilang::ensure_compiled(*registry, *derived, *total),
+            &derived_code);
+}
+
+TEST(BytecodeDiff, ConcurrentFirstCallsCompileOncePerClass) {
+  // Threads race the first calls of an inherited method on both classes:
+  // the lock-free slot for the first class and the guarded list for the
+  // second must each end up with exactly one compile.
+  auto registry = make_registry(
+      "Base", {{"total", {"k"}, "b = b + k; return b;"}},
+      {{"b", Value::integer(0)}});
+  auto derived = std::make_shared<ClassDef>();
+  derived->name = "Derived";
+  derived->super_name = "Base";
+  derived->fields.push_back({"a", "int", Value::integer(0)});
+  registry->register_class(derived);
+
+  auto& compiled = obs::counter("psf.minilang.methods_compiled");
+  const std::uint64_t before = compiled.value();
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 200;
+  std::vector<std::int64_t> finals(2 * kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto base_obj = minilang::instantiate(*registry, "Base");
+      auto derived_obj = minilang::instantiate(*registry, "Derived");
+      for (int i = 0; i < kCalls; ++i) {
+        finals[2 * t] = base_obj->call("total", {Value::integer(1)}).as_int();
+        finals[2 * t + 1] =
+            derived_obj->call("total", {Value::integer(2)}).as_int();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(finals[2 * t], kCalls);
+    EXPECT_EQ(finals[2 * t + 1], 2 * kCalls);
+  }
+  EXPECT_EQ(compiled.value() - before, 2u);
+}
+
+// ------------------------------------------ shapes the compiler once refused
+
+TEST(BytecodeDiff, DuplicateParametersMatchOracle) {
+  auto registry = make_registry(
+      "Dup", {{"pair", {"a", "a"}, "return a;"},
+              {"triple", {"a", "b", "a"}, "a = a + b; return str(a) + str(b);"},
+              {"shadow", {"x", "x"}, "var x = x * 2; return x;"}});
+  expect_engines_agree(
+      *registry, "Dup", {},
+      {{"pair", {Value::integer(1), Value::integer(2)}},
+       {"triple", {Value::integer(1), Value::integer(2), Value::integer(3)}},
+       {"shadow", {Value::integer(4), Value::integer(5)}}});
+}
+
+TEST(BytecodeDiff, VarThisMatchesOracle) {
+  auto registry = make_registry(
+      "Self",
+      {{"tag", {}, "return \"self\";"},
+       {"declared", {}, R"(
+            var this = 41;
+            this = this.tag();
+            return typeof(this) + ":" + this.tag();)"},
+       {"assignFirst", {}, "this = 1; var this = 2; return 0;"},
+       {"inLoop", {"n"}, R"(
+            var hits = 0;
+            for (var this = 0; hits < n; this = hits) { hits = hits + 1; }
+            return str(hits) + this.tag();)"}});
+  expect_engines_agree(*registry, "Self", {},
+                       {{"declared", {}},
+                        {"assignFirst", {}},
+                        {"inLoop", {Value::integer(3)}}});
+}
+
+// `var v0 = seed; var v1 = v0 + 1; ...; return v<n-1>;`
+std::string wide_body(std::size_t n) {
+  std::ostringstream os;
+  os << "var v0 = seed;\n";
+  for (std::size_t i = 1; i < n; ++i) {
+    os << "var v" << i << " = v" << i - 1 << " + 1;\n";
+  }
+  os << "return v" << n - 1 << ";";
+  return os.str();
+}
+
+TEST(BytecodeDiff, WideBodyBeyondOldRegisterBudgetMatchesOracle) {
+  // 300 locals: past the 250-register budget that used to send a method
+  // back to the tree-walker.
+  auto registry = make_registry("Wide", {{"go", {"seed"}, wide_body(300)}});
+  expect_engines_agree(*registry, "Wide", {}, {{"go", {Value::integer(7)}}});
+  const auto cls = registry->find_class("Wide");
+  EXPECT_GT(minilang::ensure_compiled(*registry, *cls,
+                                      *cls->find_method("go"))
+                .num_registers,
+            250u);
+}
+
+TEST(BytecodeDiff, RegisterCeilingRaisesNamedCompileError) {
+  // One local more than a 16-bit register operand can address.
+  auto registry = make_registry("Huge", {{"go", {"seed"}, wide_body(0x10000)}});
+  auto obj = minilang::instantiate(*registry, "Huge");
+  try {
+    obj->call("go", {Value::integer(1)});
+    FAIL() << "a 65536-local body compiled";
+  } catch (const minilang::CompileError& e) {
+    EXPECT_STREQ(e.what(),
+                 "cannot compile method 'go' on Huge: too many locals");
+  }
+}
+
+TEST(BytecodeDiff, VigRefusesViewWhoseMethodCannotCompile) {
+  ClassRegistry registry;
+  mail::register_all(registry);
+  const std::string xml = R"(<View name="ViewMailClient_Huge">
+  <Represents name="MailClient"/>
+  <Restricts><Interface name="AddressI" type="local"/></Restricts>
+  <Adds_Methods>
+    <MSign>constructor()</MSign>
+    <MBody><![CDATA[huge(1);]]></MBody>
+    <MSign>huge(seed)</MSign>
+    <MBody><![CDATA[)" + wide_body(0x10000) + R"(]]></MBody>
+  </Adds_Methods>
+</View>)";
+  auto def = views::ViewDefinition::from_xml(xml);
+  ASSERT_TRUE(def.ok()) << def.error().message;
+  views::Vig vig(&registry);
+  for (int attempt = 0; attempt < 2; ++attempt) {  // nothing cached
+    auto cls = vig.generate(def.value());
+    ASSERT_FALSE(cls.ok());
+    EXPECT_NE(cls.error().message.find(
+                  "cannot compile method 'huge' on ViewMailClient_Huge: "
+                  "too many locals"),
+              std::string::npos)
+        << cls.error().message;
+    EXPECT_EQ(registry.find_class("ViewMailClient_Huge"), nullptr);
+  }
+  EXPECT_EQ(vig.stats().generated, 0u);
+}
+
+// ------------------------------------------------------------ inline caches
+
 TEST(BytecodeDiff, InlineCacheHitAndGuardMissAgreeWithInterpreter) {
-  OptEnv env("1");  // IC slots are allocated by the optimizer
   auto registry = std::make_shared<ClassRegistry>();
   auto add_class = [&](const std::string& name, const std::string& body) {
     auto cls = std::make_shared<ClassDef>();
@@ -611,34 +694,32 @@ TEST(BytecodeDiff, InlineCacheHitAndGuardMissAgreeWithInterpreter) {
   const std::uint64_t hits_before = hits.value();
   const std::uint64_t misses_before = misses.value();
 
-  // The same polymorphic sequence under both engines: fill on Alpha, hit on
+  // The same polymorphic sequence on both engines: fill on Alpha, hit on
   // Alpha, guard-miss on Beta (twice), then a receiver with no method.
   const std::vector<Value> receivers = {
       Value::object(alpha), Value::object(alpha), Value::object(beta),
       Value::object(beta),  Value::object(alpha), Value::integer(9)};
   std::string transcripts[2];
-  const ExecMode modes[2] = {ExecMode::kBytecode, ExecMode::kInterp};
+  const Engine engines[2] = {Engine::kVm, Engine::kOracle};
   for (int i = 0; i < 2; ++i) {
     std::ostringstream os;
     for (const Value& receiver : receivers) {
-      os << call_outcome(driver, "relay", {receiver}, modes[i]) << "\n";
+      os << call_outcome(driver, "relay", {receiver}, engines[i]) << "\n";
     }
     transcripts[i] = os.str();
   }
   EXPECT_EQ(transcripts[0], transcripts[1]);
   EXPECT_NE(transcripts[0].find("ok string:alpha"), std::string::npos);
   EXPECT_NE(transcripts[0].find("ok string:beta"), std::string::npos);
-  // The bytecode pass filled the cache on Alpha, then hit it at least once
-  // and guard-missed on every Beta dispatch.
+  // The VM pass filled the cache on Alpha, then hit it at least once and
+  // guard-missed on every Beta dispatch.
   EXPECT_GT(hits.value(), hits_before);
   EXPECT_GT(misses.value(), misses_before);
 }
 
+// ------------------------------------------------------ generation time
+
 TEST(BytecodeDiff, VigPrecompilesViewMethods) {
-  if (minilang::default_exec_mode() != ExecMode::kBytecode) {
-    GTEST_SKIP() << "PSF_MINILANG_EXEC=interp disables generation-time "
-                    "compilation";
-  }
   ClassRegistry registry;
   mail::register_all(registry);
   views::Vig vig(&registry);
@@ -647,8 +728,12 @@ TEST(BytecodeDiff, VigPrecompilesViewMethods) {
   auto cls = vig.generate(def.value());
   ASSERT_TRUE(cls.ok());
   EXPECT_GT(vig.stats().methods_compiled, 0u);
-  EXPECT_EQ(vig.stats().compile_fallbacks, 0u)
-      << "an in-tree view method failed to compile";
+  for (const MethodDef& m : cls.value()->methods) {
+    if (m.is_native) continue;
+    EXPECT_EQ(minilang::ensure_compiled(registry, *cls.value(), m).self_class,
+              cls.value().get())
+        << m.name;
+  }
 }
 
 }  // namespace

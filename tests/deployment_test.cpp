@@ -16,7 +16,6 @@
 #include "drbac/repository.hpp"
 #include "mail/components.hpp"
 #include "minilang/interp.hpp"
-#include "minilang/optimize.hpp"
 #include "util/rng.hpp"
 #include "views/vig.hpp"
 
@@ -360,14 +359,6 @@ TEST(Deployment, DiagnosticsSortedByStableKey) {
 // ------------------------------------------------- VIG inline-cache seeding
 
 TEST(Deployment, VigSeedsInlineCachesFromFacts) {
-  if (minilang::default_exec_mode() != minilang::ExecMode::kBytecode) {
-    GTEST_SKIP() << "PSF_MINILANG_EXEC=interp disables generation-time "
-                    "compilation";
-  }
-  if (!minilang::optimize_enabled()) {
-    GTEST_SKIP() << "PSF_MINILANG_OPT=0 allocates no inline-cache slots, "
-                    "so there is nothing to seed";
-  }
   TestDeployment d;
   d.input.views.push_back({parse_view(fixture("dead_view.xml")), false});
   const DeploymentResult analysis_result =
@@ -387,51 +378,45 @@ TEST(Deployment, VigSeedsInlineCachesFromFacts) {
   // hits, everything else falls back to the named slow path.
   auto view = minilang::instantiate(registry, cls.value()->name);
   auto client = minilang::instantiate(registry, "MailClient");
-  minilang::InterpOptions bytecode;
-  bytecode.exec = minilang::ExecMode::kBytecode;
-  const Value ok = minilang::invoke_method(
-      view, "relayAccount",
-      {Value::object(client), Value::string("dana"), Value::string("555"),
-       Value::string("dana@x")},
-      /*external=*/true, bytecode);
+  const Value ok = view->call(
+      "relayAccount", {Value::object(client), Value::string("dana"),
+                       Value::string("555"), Value::string("dana@x")});
   EXPECT_TRUE(ok.is_null());
-  EXPECT_EQ(minilang::invoke_method(client, "getPhone",
-                                    {Value::string("dana")},
-                                    /*external=*/true, bytecode)
+  EXPECT_EQ(client->call("getPhone", {Value::string("dana")})
                 .to_display_string(),
             "555");
 
   // Guard miss: a receiver of a different class (MailServer has no
-  // addAccount) gets the same error the interpreter raises.
-  auto server = minilang::instantiate(registry, "MailServer");
-  std::string bytecode_error, interp_error;
-  try {
-    minilang::invoke_method(view, "relayAccount",
-                            {Value::object(server), Value::string("x"),
-                             Value::string("y"), Value::string("z")},
-                            /*external=*/true, bytecode);
-  } catch (const minilang::EvalError& e) {
-    bytecode_error = e.what();
-  }
-  minilang::InterpOptions interp;
-  interp.exec = minilang::ExecMode::kInterp;
-  try {
-    minilang::invoke_method(view, "relayAccount",
-                            {Value::object(server), Value::string("x"),
-                             Value::string("y"), Value::string("z")},
-                            /*external=*/true, interp);
-  } catch (const minilang::EvalError& e) {
-    interp_error = e.what();
-  }
-  EXPECT_FALSE(bytecode_error.empty());
-  EXPECT_EQ(bytecode_error, interp_error);
+  // addAccount) gets the same error as the same view generated without
+  // facts, whose cache starts cold.
+  auto guard_miss_error = [](minilang::ClassRegistry& reg,
+                             const std::string& view_class) {
+    auto v = minilang::instantiate(reg, view_class);
+    auto server = minilang::instantiate(reg, "MailServer");
+    try {
+      v->call("relayAccount", {Value::object(server), Value::string("x"),
+                               Value::string("y"), Value::string("z")});
+    } catch (const minilang::EvalError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  minilang::ClassRegistry cold_registry;
+  mail::register_all(cold_registry);
+  views::VigOptions cold_options;
+  cold_options.strip = false;
+  views::Vig cold_vig(&cold_registry, cold_options);
+  auto cold_cls = cold_vig.generate(parse_view(fixture("dead_view.xml")));
+  ASSERT_TRUE(cold_cls.ok()) << cold_cls.error().message;
+  EXPECT_EQ(cold_vig.stats().caches_seeded, 0u);
+  const std::string seeded_error =
+      guard_miss_error(registry, cls.value()->name);
+  EXPECT_FALSE(seeded_error.empty());
+  EXPECT_EQ(seeded_error,
+            guard_miss_error(cold_registry, cold_cls.value()->name));
 }
 
 TEST(Deployment, SeedingRefusesFactsTheClassCannotBack) {
-  if (minilang::default_exec_mode() != minilang::ExecMode::kBytecode) {
-    GTEST_SKIP() << "PSF_MINILANG_EXEC=interp disables generation-time "
-                    "compilation";
-  }
   minilang::ClassRegistry registry;
   mail::register_all(registry);
   // A wrong fact: claims the addAccount site resolves on MailServer, which
@@ -448,13 +433,9 @@ TEST(Deployment, SeedingRefusesFactsTheClassCannotBack) {
 
   auto view = minilang::instantiate(registry, cls.value()->name);
   auto client = minilang::instantiate(registry, "MailClient");
-  minilang::InterpOptions bytecode;
-  bytecode.exec = minilang::ExecMode::kBytecode;
-  const Value ok = minilang::invoke_method(
-      view, "relayAccount",
-      {Value::object(client), Value::string("eve"), Value::string("111"),
-       Value::string("eve@x")},
-      /*external=*/true, bytecode);
+  const Value ok = view->call(
+      "relayAccount", {Value::object(client), Value::string("eve"),
+                       Value::string("111"), Value::string("eve@x")});
   EXPECT_TRUE(ok.is_null());
 }
 

@@ -5,6 +5,7 @@
 #include "minilang/object.hpp"
 #include "minilang/parser.hpp"
 #include "minilang/value.hpp"
+#include "support/minilang_oracle.hpp"
 
 namespace psf::minilang {
 namespace {
@@ -135,53 +136,87 @@ TEST(Parser, CloneProducesEqualStructure) {
 
 // ------------------------------------------------------------ Interpreter
 
+// Evaluate `expr` on both engines: the oracle's standalone evaluator, and
+// the VM as the body `return <expr>;` of a one-method class. Values must
+// match (type and rendering) and an error on one engine must be an error on
+// the other. Returns the VM's value; rethrows the VM's EvalError.
+Value eval_both(const std::string& expr) {
+  std::string oracle_outcome;
+  try {
+    const Value v = oracle::eval_standalone(expr);
+    oracle_outcome = v.type_name() + ":" + v.to_display_string();
+  } catch (const EvalError&) {
+    oracle_outcome = "error";
+  }
+  ClassRegistry registry;
+  auto cls = std::make_shared<ClassDef>();
+  cls->name = "Expr";
+  MethodDef m;
+  m.name = "eval";
+  m.source = "return " + expr + ";";
+  auto parsed = parse_block_source(m.source);
+  if (!parsed.ok()) throw EvalError(parsed.error().message);
+  m.body = std::move(parsed).take();
+  cls->methods.push_back(std::move(m));
+  registry.register_class(cls);
+  try {
+    const Value v = instantiate(registry, "Expr")->call("eval", {});
+    EXPECT_EQ(v.type_name() + ":" + v.to_display_string(), oracle_outcome)
+        << expr;
+    return v;
+  } catch (const EvalError&) {
+    EXPECT_EQ(oracle_outcome, "error") << expr;
+    throw;
+  }
+}
+
 TEST(Interp, EvaluatesArithmetic) {
-  EXPECT_EQ(eval_standalone("1 + 2 * 3 - 4 / 2").as_int(), 5);
-  EXPECT_EQ(eval_standalone("10 % 3").as_int(), 1);
-  EXPECT_EQ(eval_standalone("-(3 + 4)").as_int(), -7);
+  EXPECT_EQ(eval_both("1 + 2 * 3 - 4 / 2").as_int(), 5);
+  EXPECT_EQ(eval_both("10 % 3").as_int(), 1);
+  EXPECT_EQ(eval_both("-(3 + 4)").as_int(), -7);
 }
 
 TEST(Interp, EvaluatesComparisonsAndLogic) {
-  EXPECT_TRUE(eval_standalone("1 < 2 && 2 <= 2 && 3 > 2 && 3 >= 3").as_bool());
-  EXPECT_TRUE(eval_standalone("1 == 1 && 1 != 2").as_bool());
-  EXPECT_TRUE(eval_standalone("false || true").as_bool());
-  EXPECT_FALSE(eval_standalone("!true").as_bool());
+  EXPECT_TRUE(eval_both("1 < 2 && 2 <= 2 && 3 > 2 && 3 >= 3").as_bool());
+  EXPECT_TRUE(eval_both("1 == 1 && 1 != 2").as_bool());
+  EXPECT_TRUE(eval_both("false || true").as_bool());
+  EXPECT_FALSE(eval_both("!true").as_bool());
 }
 
 TEST(Interp, StringConcatenation) {
-  EXPECT_EQ(eval_standalone("\"a\" + \"b\" + 3").as_string(), "ab3");
+  EXPECT_EQ(eval_both("\"a\" + \"b\" + 3").as_string(), "ab3");
 }
 
 TEST(Interp, StringComparison) {
-  EXPECT_TRUE(eval_standalone("\"abc\" < \"abd\"").as_bool());
+  EXPECT_TRUE(eval_both("\"abc\" < \"abd\"").as_bool());
 }
 
 TEST(Interp, DivisionByZeroThrows) {
-  EXPECT_THROW(eval_standalone("1 / 0"), EvalError);
-  EXPECT_THROW(eval_standalone("1 % 0"), EvalError);
+  EXPECT_THROW(eval_both("1 / 0"), EvalError);
+  EXPECT_THROW(eval_both("1 % 0"), EvalError);
 }
 
 TEST(Interp, BuiltinListOperations) {
-  EXPECT_EQ(eval_standalone("len(list(1, 2, 3))").as_int(), 3);
-  EXPECT_TRUE(eval_standalone("contains(list(1, 2, 3), 2)").as_bool());
-  EXPECT_FALSE(eval_standalone("contains(list(1, 2, 3), 9)").as_bool());
+  EXPECT_EQ(eval_both("len(list(1, 2, 3))").as_int(), 3);
+  EXPECT_TRUE(eval_both("contains(list(1, 2, 3), 2)").as_bool());
+  EXPECT_FALSE(eval_both("contains(list(1, 2, 3), 9)").as_bool());
 }
 
 TEST(Interp, BuiltinStringOperations) {
-  EXPECT_EQ(eval_standalone("substr(\"hello\", 1, 3)").as_string(), "ell");
-  EXPECT_TRUE(eval_standalone("contains(\"hello\", \"ell\")").as_bool());
-  EXPECT_EQ(eval_standalone("str(42)").as_string(), "42");
+  EXPECT_EQ(eval_both("substr(\"hello\", 1, 3)").as_string(), "ell");
+  EXPECT_TRUE(eval_both("contains(\"hello\", \"ell\")").as_bool());
+  EXPECT_EQ(eval_both("str(42)").as_string(), "42");
 }
 
 TEST(Interp, BuiltinBytesRoundTrip) {
-  EXPECT_EQ(eval_standalone("text(bytes(\"data\"))").as_string(), "data");
-  EXPECT_EQ(eval_standalone("len(bytes(\"data\"))").as_int(), 4);
+  EXPECT_EQ(eval_both("text(bytes(\"data\"))").as_string(), "data");
+  EXPECT_EQ(eval_both("len(bytes(\"data\"))").as_int(), 4);
 }
 
 TEST(Interp, BuiltinMinMaxAbs) {
-  EXPECT_EQ(eval_standalone("min(3, 5)").as_int(), 3);
-  EXPECT_EQ(eval_standalone("max(3, 5)").as_int(), 5);
-  EXPECT_EQ(eval_standalone("abs(0 - 9)").as_int(), 9);
+  EXPECT_EQ(eval_both("min(3, 5)").as_int(), 3);
+  EXPECT_EQ(eval_both("max(3, 5)").as_int(), 5);
+  EXPECT_EQ(eval_both("abs(0 - 9)").as_int(), 9);
 }
 
 // Builds a small class for object tests:
@@ -526,7 +561,7 @@ TEST(Loops, ForParseErrors) {
 }
 
 TEST(Interp, StandaloneUnknownFunctionThrows) {
-  EXPECT_THROW(eval_standalone("nosuchfn(1)"), EvalError);
+  EXPECT_THROW(eval_both("nosuchfn(1)"), EvalError);
 }
 
 TEST(Interp, BuiltinNamesNonEmptyAndContainCore) {

@@ -9,9 +9,8 @@
 //                               run on one of the paper's definitions
 //   vig_cli --dump-bytecode <view.xml>
 //                               generate, then disassemble every compiled
-//                               view method (the register bytecode the
-//                               engine executes when PSF_MINILANG_EXEC is
-//                               not "interp")
+//                               view method (the register bytecode the VM
+//                               executes)
 //
 // The represented classes come from the mail application registry
 // (MailClient, MailServer, Encryptor, Decryptor and their interfaces).
@@ -40,9 +39,9 @@ void print_usage(std::ostream& out) {
          "  --help            print this help and exit 0\n"
          "  --check           validate only; print diagnostics, generate nothing\n"
          "  --builtin X       run on one of the paper's definitions\n"
-         "  --dump-bytecode   generate, then disassemble every view method the\n"
-         "                    bytecode compiler accepts (methods it rejects are\n"
-         "                    listed as interpreter fallbacks)\n";
+         "  --dump-bytecode   generate, then disassemble every view method; a\n"
+         "                    method the compiler cannot encode refuses the\n"
+         "                    view (exit 1, like any other generation error)\n";
 }
 
 int usage() {
@@ -131,13 +130,9 @@ int main(int argc, char** argv) {
         std::cout << "; " << m.name << ": native, not compiled\n\n";
         continue;
       }
-      const auto* code = minilang::ensure_compiled(registry, view, m);
-      if (code == nullptr) {
-        std::cout << "; " << m.name << ": interpreter fallback "
-                  << "(unsupported by the bytecode compiler)\n\n";
-        continue;
-      }
-      std::cout << minilang::disassemble(*code) << "\n";
+      std::cout << minilang::disassemble(
+                       minilang::ensure_compiled(registry, view, m))
+                << "\n";
     }
     return 0;
   }
