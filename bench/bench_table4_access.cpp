@@ -6,6 +6,9 @@
 //   - SSO path: call through the view (channel established once);
 //   - baseline: re-prove the client's role on every request (per-request
 //     ACL check, what a view-less gateway would do).
+// The reproduction also repeats the paper's three requests and writes
+// BENCH_table4_access.json: repeated single sign-on must not grow the
+// credential repository (derived/repo_growth_per_request, gated at 0).
 #include "bench_util.hpp"
 #include "drbac/engine.hpp"
 #include "mail/scenario.hpp"
@@ -60,6 +63,43 @@ void reproduce() {
   drbac::Entity eve = drbac::Entity::create("Eve", f.s.psf->rng());
   auto anon = f.s.ny->select_view(Principal::of_entity(eve), 0);
   std::cout << "  Eve (no credentials) -> " << anon.value().view_name << "\n";
+
+  // Repeated sign-on: Alice, Bob and Charlie request the mail service
+  // again and again. After one warm-up round every credential involved is
+  // already held, so the repository must stay the same size.
+  Scenario world = mail::build_scenario();
+  const std::pair<const drbac::Entity*, const char*> requests[] = {
+      {&world.alice, Scenario::kNyPc},
+      {&world.bob, Scenario::kSdPc},
+      {&world.charlie, Scenario::kSePc}};
+  const std::int64_t view_cpu = framework::ServiceConfig{}.view_cpu;
+  auto round = [&] {
+    for (const auto& [who, node] : requests) {
+      auto session = world.psf->request(world.request_for(*who, node));
+      if (!session.ok()) {
+        std::cerr << "table4: request failed: " << session.error().message
+                  << "\n";
+        std::exit(1);
+      }
+      session.value().connection->close("table4 round done");
+      world.psf->node(node)->release_cpu(view_cpu);
+    }
+  };
+  round();
+  constexpr int kRounds = 32;
+  const std::size_t size_before = world.psf->repository().size();
+  const double request_us = bench::time_us(kRounds, round) / 3.0;
+  const double growth =
+      static_cast<double>(world.psf->repository().size() - size_before) /
+      (3.0 * kRounds);
+  std::cout << "\n  " << kRounds << " repeated rounds of the three requests: "
+            << request_us << " us per request, repository growth " << growth
+            << " credentials per request\n";
+
+  bench::Report report("table4_access");
+  report.add("repeated_request_us", request_us, "us", 3 * kRounds);
+  report.derived("repo_growth_per_request", growth);
+  report.write();
 }
 
 void BM_SingleSignOnCall(benchmark::State& state) {

@@ -19,9 +19,14 @@ struct RepoMetrics {
 };
 }  // namespace
 
-void Repository::add(DelegationPtr credential) {
+bool Repository::add(DelegationPtr credential) {
   RepoMetrics& metrics = RepoMetrics::get();
   std::lock_guard lock(mutex_);
+  const auto [held, fresh] = by_serial_.emplace(credential->serial, credential);
+  if (!fresh && (held->second == credential ||
+                 held->second->content_hash() == credential->content_hash())) {
+    return false;  // already held: not a mutation
+  }
   credentials_.push_back(credential);
   by_target_[target_key(credential->target)].push_back(credential);
   by_subject_[subject_key(credential->subject)].push_back(credential);
@@ -35,6 +40,7 @@ void Repository::add(DelegationPtr credential) {
                      reinterpret_cast<std::uintptr_t>(this));
   metrics.adds.inc();
   metrics.size.set(static_cast<std::int64_t>(credentials_.size()));
+  return true;
 }
 
 std::vector<DelegationPtr> Repository::by_target(const RoleRef& target,
@@ -81,11 +87,8 @@ void Repository::revoke(std::uint64_t serial) {
   {
     std::lock_guard lock(mutex_);
     if (!revoked_.insert(serial).second) return;  // already revoked
-    for (const auto& c : credentials_) {
-      if (c->serial == serial) {
-        revoked_credential = c;
-        break;
-      }
+    if (auto it = by_serial_.find(serial); it != by_serial_.end()) {
+      revoked_credential = it->second;
     }
     subscribers = subscribers_;
     const std::uint64_t epoch =
@@ -159,11 +162,6 @@ util::Result<Repository::MergeResult> Repository::merge_snapshot(
   if (credential_count > snapshot.size()) return fail();
 
   MergeResult result;
-  std::set<std::uint64_t> known;
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& c : credentials_) known.insert(c->serial);
-  }
   for (std::uint32_t i = 0; i < credential_count; ++i) {
     if (pos + 4 > snapshot.size()) return fail();
     const std::uint32_t wire_len = util::get_u32_be(snapshot, pos);
@@ -180,10 +178,7 @@ util::Result<Repository::MergeResult> Repository::merge_snapshot(
       ++result.rejected;
       continue;
     }
-    if (known.insert(decoded.value()->serial).second) {
-      add(decoded.value());
-      ++result.added;
-    }
+    if (add(decoded.value())) ++result.added;
     // Keep locally issued serials disjoint from imported ones.
     std::uint64_t current = next_serial_.load();
     const std::uint64_t floor = decoded.value()->serial + 1;

@@ -5,12 +5,16 @@
 // object". The repository is also the credentials' "home": it tracks
 // revocations and pushes notifications to validity monitors.
 //
+// The repository is the one place credentials are deduplicated: adding a
+// credential it already holds (same serial, same bytes) stores nothing, so
+// clients and authorizers re-present their credentials freely.
+//
 // Fast-path support (DESIGN.md "Proof-engine fast path"): the repository
 // carries a monotonically increasing *epoch* — bumped by every mutation
-// that can change a proof outcome (add, revoke, and therefore merge) — and
-// owns the ProofCache whose entries are gated on that epoch. Revoking a
-// credential also evicts its SignatureCache entry, so a revoked delegation
-// is never served from any cache.
+// that can change a proof outcome (storing a new credential, revoking one,
+// and therefore merging) — and owns the ProofCache whose entries are gated
+// on that epoch. Revoking a credential also evicts its SignatureCache entry,
+// so a revoked delegation is never served from any cache.
 #pragma once
 
 #include <atomic>
@@ -21,6 +25,7 @@
 
 #include "util/lock_rank.hpp"
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "drbac/credential.hpp"
@@ -30,7 +35,11 @@ namespace psf::drbac {
 
 class Repository {
  public:
-  void add(DelegationPtr credential);
+  /// Store a credential. Idempotent: when the credential first stored
+  /// under this serial has the same content hash, nothing is stored and
+  /// the epoch does not move. A different credential reusing a serial is
+  /// still stored. Returns whether anything was stored.
+  bool add(DelegationPtr credential);
 
   /// Credentials granting rights *to* this role (directed by the object
   /// index; honors searchable_from_object unless tags are disabled).
@@ -52,9 +61,9 @@ class Repository {
 
   // ---- Fast-path cache support ----
 
-  /// Mutation epoch: bumped *after* every add() and every effective
-  /// revoke() (merges bump through those). ProofCache entries recorded
-  /// under an older epoch are invalid. Reading the epoch before a search
+  /// Mutation epoch: bumped *after* every add() that stores a credential
+  /// and every effective revoke() (merges bump through those). ProofCache
+  /// entries recorded under an older epoch are invalid. Reading the epoch before a search
   /// and re-checking it before caching the result makes the cache safe
   /// against concurrent mutation (a torn search view can only ever be
   /// stored under an already-stale epoch).
@@ -83,9 +92,9 @@ class Repository {
   /// Serialize every credential and the revocation set to a byte snapshot.
   util::Bytes snapshot() const;
 
-  /// Merge a snapshot produced elsewhere: credentials with unseen serials
-  /// are added (signatures verified; invalid entries are skipped and
-  /// counted), revocations are applied (firing monitors). Idempotent.
+  /// Merge a snapshot produced elsewhere: credentials not already held are
+  /// added (signatures verified; invalid entries are skipped and counted),
+  /// revocations are applied (firing monitors). Idempotent.
   struct MergeResult {
     std::size_t added = 0;
     std::size_t revoked = 0;
@@ -104,6 +113,8 @@ class Repository {
   mutable util::RankedMutex<std::mutex> mutex_{
       util::LockRank::kRepository, "drbac.repository"};
   std::vector<DelegationPtr> credentials_;
+  // serial -> the first credential stored under it (dedupe and revoke).
+  std::unordered_map<std::uint64_t, DelegationPtr> by_serial_;
   std::map<std::string, std::vector<DelegationPtr>> by_target_;
   std::map<std::string, std::vector<DelegationPtr>> by_subject_;
   std::set<std::uint64_t> revoked_;

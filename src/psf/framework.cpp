@@ -165,7 +165,8 @@ util::Result<std::string> Psf::define_service(ServiceConfig config) {
 
   // Component code identities, credentialed in the owning domain (the
   // deployment infrastructure issues the generated view its own set of
-  // credentials, paper §4.3).
+  // credentials, paper §4.3). Every client view of a service runs under
+  // the one view identity, so its Deployed credential is issued once, here.
   runtime.replica_identity =
       domain_guard->create_principal(config.name + ".Replica");
   runtime.view_identity =
@@ -180,6 +181,8 @@ util::Result<std::string> Psf::define_service(ServiceConfig config) {
     domain_guard->grant(drbac::Principal::of_entity(*identity), "Executable",
                         {{"CPU", drbac::Attribute::make_cap("CPU", 100)}});
   }
+  domain_guard->grant(drbac::Principal::of_entity(runtime.view_identity),
+                      "Deployed", {}, clock_->now());
 
   // Table 4 access rules live on the Guard.
   for (const auto& [role, view] : config.access_rules) {
@@ -300,12 +303,11 @@ util::Result<ClientSession> Psf::request_impl(const ClientRequest& request) {
   const util::SimTime now = clock_->now();
 
   // 1. Collect the client's credentials into the repository, then run the
-  //    ACL (Table 4) — this is the single sign-on point.
+  //    ACL (Table 4) — this is the single sign-on point. Re-presenting a
+  //    credential the repository holds is a no-op there, so a reconnecting
+  //    client does not disturb the proof cache.
   for (const auto& credential : request.credentials) {
-    if (!drbac::verify_cached(*credential)) continue;
-    if (presented_credentials_.insert(credential->content_hash()).second) {
-      repository_.add(credential);
-    }
+    if (drbac::verify_cached(*credential)) repository_.add(credential);
   }
   auto decision = domain_guard->select_view(
       service.config.access_rules, service.config.default_view,
@@ -417,11 +419,6 @@ util::Result<ClientSession> Psf::request_impl(const ClientRequest& request) {
     }
   }
   views::attach_cache_manager(view, Value::object(channel_stub));
-
-  // The deployment infrastructure issues the instantiated view its own
-  // credentials (paper §2.1/§4.3).
-  domain_guard->grant(drbac::Principal::of_entity(service.view_identity),
-                      "Deployed", {}, now);
 
   ClientSession session;
   session.request = request;

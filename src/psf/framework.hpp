@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -212,11 +211,6 @@ class Psf {
   std::map<std::string, std::unique_ptr<Node>> nodes_;
   std::map<std::string, ServiceRuntime> services_;
   std::vector<std::function<void(minilang::ClassRegistry&)>> registrars_;
-  // Content hashes of client-presented credentials already merged into the
-  // repository. Re-presenting the same credential (every reconnect does)
-  // must not re-add it: each add bumps the repository epoch and would evict
-  // the proof cache that makes repeated guard checks near-free.
-  std::set<std::string> presented_credentials_;
 };
 
 }  // namespace psf::framework

@@ -32,8 +32,9 @@ util::Result<drbac::Proof> RoleAuthorizer::authorize(
   obs::ScopedSpan span("switchboard.authorize");
   // Collect the presented credentials (verified) into the repository. A
   // reconnecting peer re-presents the same credentials; the cached verify
-  // makes the re-check a hash lookup instead of a Schnorr verify, and the
-  // engine below hits the repository's proof cache when nothing changed.
+  // makes the re-check a hash lookup instead of a Schnorr verify, the
+  // repository ignores credentials it already holds, and the engine below
+  // hits the repository's proof cache when nothing changed.
   for (const auto& credential : credentials) {
     if (!drbac::verify_cached(*credential)) {
       metrics.denied.inc();
@@ -42,9 +43,7 @@ util::Result<drbac::Proof> RoleAuthorizer::authorize(
           "presented credential has an invalid signature: " +
               credential->display());
     }
-    if (merged_serials_.insert(credential->serial).second) {
-      repository_->add(credential);
-    }
+    repository_->add(credential);
   }
   drbac::Engine engine(repository_);
   drbac::ProveOptions options;

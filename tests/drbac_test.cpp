@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "drbac/attribute.hpp"
 #include "drbac/credential.hpp"
 #include "drbac/engine.hpp"
 #include "drbac/entity.hpp"
 #include "drbac/repository.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace psf::drbac {
@@ -270,6 +274,83 @@ TEST(Repository, RevocationNotifiesSubscribers) {
   w.repo.unsubscribe(sub);
   w.repo.revoke(9);
   EXPECT_EQ(seen.size(), 1u);
+}
+
+TEST(Repository, ReAddingIdenticalCredentialIsNoOp) {
+  World w;
+  auto d = w.add(w.comp_ny, Principal::of_entity(w.alice),
+                 role_of(w.comp_ny, "Member"));
+  Engine engine(&w.repo);
+  ASSERT_TRUE(engine
+                  .prove(Principal::of_entity(w.alice),
+                         role_of(w.comp_ny, "Member"), 0)
+                  .ok());
+  const std::uint64_t epoch = w.repo.epoch();
+
+  // The same object, and a decoded copy of the same bytes.
+  EXPECT_FALSE(w.repo.add(d));
+  auto copy = decode_delegation(encode_delegation(*d));
+  ASSERT_TRUE(copy.ok());
+  EXPECT_FALSE(w.repo.add(copy.value()));
+
+  EXPECT_EQ(w.repo.size(), 1u);
+  EXPECT_EQ(w.repo.by_target(role_of(w.comp_ny, "Member")).size(), 1u);
+  EXPECT_EQ(w.repo.by_subject(Principal::of_entity(w.alice)).size(), 1u);
+  EXPECT_EQ(w.repo.epoch(), epoch);
+  auto& hits = obs::counter("psf.drbac.proofcache.hits");
+  const std::uint64_t hits0 = hits.value();
+  EXPECT_TRUE(engine
+                  .prove(Principal::of_entity(w.alice),
+                         role_of(w.comp_ny, "Member"), 0)
+                  .ok());
+  EXPECT_EQ(hits.value(), hits0 + 1);
+}
+
+TEST(Repository, ReAddedRevokedCredentialStaysRevoked) {
+  World w;
+  auto d = w.add(w.comp_ny, Principal::of_entity(w.alice),
+                 role_of(w.comp_ny, "Member"));
+  w.repo.revoke(d->serial);
+  EXPECT_FALSE(w.repo.add(d));  // the holder presents it again
+  EXPECT_TRUE(w.repo.is_revoked(d->serial));
+  Engine engine(&w.repo);
+  EXPECT_FALSE(engine
+                   .prove(Principal::of_entity(w.alice),
+                          role_of(w.comp_ny, "Member"), 0)
+                   .ok());
+}
+
+TEST(Repository, SameSerialDifferentBytesStillStored) {
+  World w;
+  auto member = w.add(w.comp_ny, Principal::of_entity(w.alice),
+                      role_of(w.comp_ny, "Member"));
+  auto partner = issue(w.comp_ny, Principal::of_entity(w.alice),
+                       role_of(w.comp_ny, "Partner"), {}, false, 0, 0,
+                       member->serial);
+  const std::uint64_t epoch = w.repo.epoch();
+  EXPECT_TRUE(w.repo.add(partner));
+  EXPECT_EQ(w.repo.size(), 2u);
+  EXPECT_GT(w.repo.epoch(), epoch);
+  EXPECT_EQ(w.repo.by_target(role_of(w.comp_ny, "Partner")).size(), 1u);
+}
+
+TEST(Repository, ConcurrentIdenticalAddsStoreOnce) {
+  World w;
+  auto d = issue(w.comp_ny, Principal::of_entity(w.alice),
+                 role_of(w.comp_ny, "Member"), {}, false, 0, 0,
+                 w.repo.next_serial());
+  const std::uint64_t epoch = w.repo.epoch();
+  std::atomic<int> stored{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 8; ++i) {
+    threads.emplace_back([&] {
+      if (w.repo.add(d)) ++stored;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(stored.load(), 1);
+  EXPECT_EQ(w.repo.size(), 1u);
+  EXPECT_EQ(w.repo.epoch(), epoch + 1);
 }
 
 // ------------------------------------------------------------ Proof engine

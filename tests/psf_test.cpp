@@ -262,6 +262,53 @@ TEST_F(PlannerScenario, RevocationMidSessionSuspendsClient) {
                minilang::EvalError);
 }
 
+TEST_F(PlannerScenario, RepeatedRequestsDoNotGrowRepository) {
+  // Single sign-on at scale: every round re-presents the same wallets, and
+  // the service's view credential was issued when the service was defined.
+  // After the first round the repository neither grows nor moves its epoch.
+  struct User {
+    const drbac::Entity* who;
+    const char* node;
+    const char* view;
+  };
+  const User users[] = {
+      {&s.alice, Scenario::kNyPc, "ViewMailClient_Member"},
+      {&s.bob, Scenario::kSdPc, "ViewMailClient_Member"},
+      {&s.charlie, Scenario::kSePc, "ViewMailClient_Partner"}};
+  const std::int64_t view_cpu = ServiceConfig{}.view_cpu;
+  std::size_t size_after_first = 0;
+  std::uint64_t epoch_after_first = 0;
+  ClientSession bob_session;
+  for (int round = 0; round < 64; ++round) {
+    for (const User& user : users) {
+      auto session = psf().request(s.request_for(*user.who, user.node));
+      ASSERT_TRUE(session.ok()) << session.error().message;
+      EXPECT_EQ(session.value().view_name, user.view);
+      if (user.who == &s.bob) {
+        if (bob_session.connection) bob_session.connection->close("next round");
+        bob_session = std::move(session).take();
+      } else {
+        session.value().connection->close("round done");
+      }
+      psf().node(user.node)->release_cpu(view_cpu);
+    }
+    if (round == 0) {
+      size_after_first = psf().repository().size();
+      epoch_after_first = psf().repository().epoch();
+    }
+    EXPECT_EQ(psf().repository().size(), size_after_first);
+    EXPECT_EQ(psf().repository().epoch(), epoch_after_first);
+  }
+
+  // Revocation still reaches the last session through its monitor.
+  bob_session.view->call("getPhone", {Value::string("alice")});
+  psf().repository().revoke(s.cred(11)->serial);
+  EXPECT_TRUE(bob_session.connection->suspended(
+      switchboard::Connection::End::kA));
+  EXPECT_THROW(bob_session.view->call("getPhone", {Value::string("alice")}),
+               minilang::EvalError);
+}
+
 TEST_F(PlannerScenario, SessionValidityTracksNetworkChanges) {
   framework::QoS qos;
   qos.max_latency_ms = 10;
