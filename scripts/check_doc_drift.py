@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI docs gate, part 2: doc-drift check for the CLI flag tables.
+"""CI docs gate, part 2: doc-drift check for the CLI flag and env tables.
 
 docs/OPERATIONS.md documents each tool's flags in a markdown table under a
 "### <tool>" heading. This script runs every tool's --help and fails if the
@@ -12,9 +12,14 @@ of the tool's section (aliases mentioned in a row's description, like
 `--text` for obs_dump, count). -h shorthands are ignored: the contract is
 over long options only.
 
+The same two-way check runs over environment variables: the first column
+of the "## Runtime environment variables" table must name exactly the
+`getenv("PSF_...")` / `env_int("PSF_...")` literals in src/, tools/ and
+bench/ (paths relative to the working directory, like --doc).
+
 Usage: check_doc_drift.py --bin-dir build/tools [--doc docs/OPERATIONS.md]
-Exit status: 0 = tables match --help, 1 = drift or a tool failed to run,
-2 = bad arguments / missing inputs.
+Exit status: 0 = tables match --help and the source, 1 = drift or a tool
+failed to run, 2 = bad arguments / missing inputs.
 """
 import argparse
 import os
@@ -24,6 +29,9 @@ import sys
 
 TOOLS = ["obsd_query", "obs_dump", "psf_analyze", "vig_cli"]
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+ENV_DIRS = ["src", "tools", "bench"]
+ENV_READ_RE = re.compile(r'\b(?:getenv|env_int)\("(PSF_[A-Z0-9_]+)"')
+SOURCE_EXTS = (".cpp", ".cc", ".hpp", ".h")
 
 
 def doc_flags(doc_text, tool):
@@ -40,6 +48,56 @@ def doc_flags(doc_text, tool):
         for code in re.findall(r"`([^`]*)`", line):
             flags.update(FLAG_RE.findall(code))
     return flags
+
+
+def doc_env_vars(doc_text):
+    """Backticked PSF_ names in the first column of the env-var table."""
+    section = re.search(r"^## Runtime environment variables$(.*?)(?=^## |\Z)",
+                        doc_text, re.MULTILINE | re.DOTALL)
+    if section is None:
+        return None
+    names = set()
+    for line in section.group(1).splitlines():
+        cells = line.strip().split("|")
+        if len(cells) > 2:
+            names.update(re.findall(r"`(PSF_[A-Z0-9_]+)`", cells[1]))
+    return names
+
+
+def source_env_vars(dirs):
+    """PSF_ names the code reads through getenv / env_int literals."""
+    names = set()
+    for top in dirs:
+        for root, _, files in os.walk(top):
+            for name in files:
+                if not name.endswith(SOURCE_EXTS):
+                    continue
+                with open(os.path.join(root, name), encoding="utf-8",
+                          errors="replace") as f:
+                    names.update(ENV_READ_RE.findall(f.read()))
+    return names
+
+
+def check_env_table(doc_text, doc_path):
+    """Two-way env-var drift check; returns the number of failures."""
+    documented = doc_env_vars(doc_text)
+    if documented is None:
+        print("  FAIL  env: no '## Runtime environment variables' section "
+              "in %s" % doc_path)
+        return 1
+    read = source_env_vars(ENV_DIRS)
+    unread = sorted(documented - read)
+    undocumented = sorted(read - documented)
+    if undocumented:
+        print("  FAIL  env: read in %s but not in %s: %s" %
+              ("/".join(ENV_DIRS), doc_path, ", ".join(undocumented)))
+    if unread:
+        print("  FAIL  env: in %s but read nowhere in %s: %s" %
+              (doc_path, "/".join(ENV_DIRS), ", ".join(unread)))
+    if undocumented or unread:
+        return 1
+    print("        ok  env: %d variable(s) match" % len(read))
+    return 0
 
 
 def help_flags(binary):
@@ -94,10 +152,13 @@ def main():
         else:
             print("        ok  %s: %d flag(s) match" % (tool, len(live)))
 
+    failures += check_env_table(doc_text, args.doc)
+
     if failures:
-        print("\n%d tool(s) drifted from %s" % (failures, args.doc))
+        print("\n%d table(s) drifted from %s" % (failures, args.doc))
         return 1
-    print("\nall %d flag tables match live --help output" % len(TOOLS))
+    print("\nall %d flag tables match live --help output and the env table "
+          "matches the source" % len(TOOLS))
     return 0
 
 

@@ -2,11 +2,10 @@
 // named health checks, each a closure reporting OK / DEGRADED / FAILING with
 // a human-readable reason, rolled up into one node status (the worst check
 // wins). Checks are registered by the layer that owns the signal —
-// Switchboard registers one per live connection, HeartbeatDriver one per
-// driven heartbeat, install_builtin_checks() derives the rest from the
-// metrics registry (journal/span drop rates, cache hit-rate floors,
-// revocation-monitor lag) — and removed via their token when the owner goes
-// away. report() never blocks a hot path: checks read atomics and snapshots.
+// Switchboard registers one per live connection, install_builtin_checks()
+// derives the rest from the metrics registry (journal/span drop rates, cache
+// hit-rate floors, revocation-monitor lag) — and removed via their token
+// when the owner goes away. report() never blocks a hot path: checks read atomics and snapshots.
 #pragma once
 
 #include <cstdint>

@@ -58,11 +58,9 @@ util::Result<std::shared_ptr<Connection>> Switchboard::connect(
   return Connection::establish(*this, remote, local_suite, *remote_suite, rng);
 }
 
-// -------------------------------------------------------------- Connection
+// ------------------------------------------------------------- frame codec
 
 namespace {
-
-constexpr std::size_t kFrameOverhead = 8 /*seq*/ + 32 /*hmac*/;
 
 crypto::ChaChaNonce nonce_for(int direction, std::uint64_t seq) {
   crypto::ChaChaNonce nonce{};
@@ -72,6 +70,114 @@ crypto::ChaChaNonce nonce_for(int direction, std::uint64_t seq) {
   }
   return nonce;
 }
+
+// Codec instrumentation, shared by the trunk and every session. A scratch
+// "reuse" is a seal/open served entirely from existing buffer capacity; a
+// "grow" is a (re)allocation. After warm-up, reuses should dominate.
+struct FrameMetrics {
+  obs::Counter& scratch_reuses =
+      obs::counter("psf.switchboard.scratch.reuses");
+  obs::Counter& scratch_grows = obs::counter("psf.switchboard.scratch.grows");
+  obs::Counter& replay_rejections =
+      obs::counter("psf.switchboard.replay.rejections");
+  void note_scratch(const util::Bytes& buffer, std::size_t needed) {
+    (buffer.capacity() < needed ? scratch_grows : scratch_reuses).inc();
+  }
+  static FrameMetrics& get() {
+    static FrameMetrics m;
+    return m;
+  }
+};
+
+// `plain` must not alias `frame`: the frame is rebuilt from scratch (only
+// its capacity survives across calls). The plaintext is encrypted where it
+// sits in the frame, then the frame bytes are MACed from a copied keyed
+// midstate, so there are no mac_input, body or ciphertext temporaries.
+void seal_frame(const FrameKeys& keys, int dir, std::uint64_t seq,
+                const std::uint8_t* plain, std::size_t len,
+                util::Bytes& frame) {
+  const std::size_t total = kFrameOverhead + len;
+  FrameMetrics::get().note_scratch(frame, total);
+  frame.clear();
+  frame.reserve(total);
+  util::put_u64_be(frame, seq);
+  frame.insert(frame.end(), plain, plain + len);
+  crypto::chacha20_xor_inplace(keys.cipher[dir], nonce_for(dir, seq), 1,
+                               frame.data() + 8, len);
+  crypto::HmacSha256 mac = keys.mac_seed[dir];
+  mac.update(frame.data(), frame.size());
+  frame.resize(total);
+  mac.final_into(frame.data() + 8 + len);
+}
+
+// Returns the frame's sequence number with the plaintext in `plain` (which
+// must not alias `frame`); on failure `plain` is left empty. The replay
+// check is the owner's.
+util::Result<std::uint64_t> open_frame(const FrameKeys& keys, int dir,
+                                       const std::uint8_t* frame,
+                                       std::size_t len, util::Bytes& plain) {
+  using Fail = util::Result<std::uint64_t>;
+  plain.clear();
+  if (len < kFrameOverhead) return Fail::failure("frame", "short frame");
+  const std::size_t body_len = len - 32;
+  crypto::HmacSha256 mac = keys.mac_seed[dir];
+  mac.update(frame, body_len);
+  const crypto::Digest256 expected = mac.final();
+  if (!util::equal_ct(frame + body_len, expected.data(), expected.size())) {
+    return Fail::failure("mac", "MAC verification failed");
+  }
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 8; ++i) seq = (seq << 8) | frame[i];
+  const std::size_t plain_len = len - kFrameOverhead;
+  FrameMetrics::get().note_scratch(plain, plain_len);
+  plain.assign(frame + 8, frame + 8 + plain_len);
+  crypto::chacha20_xor_inplace(keys.cipher[dir], nonce_for(dir, seq), 1,
+                               plain.data(), plain_len);
+  return seq;
+}
+
+util::Result<std::size_t> replay_rejected(std::uint64_t seq, int dir,
+                                          util::Bytes& plain) {
+  plain.clear();
+  FrameMetrics::get().replay_rejections.inc();
+  obs::journal::emit(obs::journal::Subsystem::kSwitchboard,
+                     obs::journal::kSwReplayReject, seq,
+                     static_cast<std::uint64_t>(dir));
+  return util::Result<std::size_t>::failure(
+      "replay", "replayed or stale frame (seq " + std::to_string(seq) + ")");
+}
+
+}  // namespace
+
+FrameKeys::FrameKeys(const SessionKeyMaterial& material) {
+  for (int dir = 0; dir < 2; ++dir) {
+    cipher[dir] = material.cipher[dir];
+    mac_seed[dir] = crypto::HmacSha256(material.mac_key[dir]);
+  }
+}
+
+SessionCrypto::SessionCrypto(const SessionKeyMaterial& keys) : keys_(keys) {}
+
+void SessionCrypto::seal_into(int dir, const std::uint8_t* plain,
+                              std::size_t len, util::Bytes& frame) {
+  seal_frame(keys_, dir, ++send_seq_[dir], plain, len, frame);
+}
+
+util::Result<std::size_t> SessionCrypto::unseal_into(int dir,
+                                                     const std::uint8_t* frame,
+                                                     std::size_t len,
+                                                     util::Bytes& plain) {
+  auto opened = open_frame(keys_, dir, frame, len, plain);
+  if (!opened.ok()) return opened.error();
+  if (!recv_window_[dir].check_and_insert(opened.value())) {
+    return replay_rejected(opened.value(), dir, plain);
+  }
+  return plain.size();
+}
+
+// -------------------------------------------------------------- Connection
+
+namespace {
 
 util::Bytes handshake_transcript(const util::Bytes& dh_a,
                                  const util::Bytes& dh_b) {
@@ -100,14 +206,6 @@ struct ChannelMetrics {
   // Wall-clock end-to-end secure RPC latency: the histogram the
   // switchboard.rpc SLO and the mail load bench key on.
   obs::Histogram& rpc_us = obs::histogram("psf.switchboard.rpc_us");
-  obs::Counter& replay_rejections =
-      obs::counter("psf.switchboard.replay.rejections");
-  // Scratch-buffer telemetry for the zero-copy frame path: a "reuse" is a
-  // seal/unseal served entirely from existing buffer capacity; a "grow" is a
-  // (re)allocation. After warm-up, reuses should dominate.
-  obs::Counter& scratch_reuses =
-      obs::counter("psf.switchboard.scratch.reuses");
-  obs::Counter& scratch_grows = obs::counter("psf.switchboard.scratch.grows");
   obs::Counter& heartbeats = obs::counter("psf.switchboard.heartbeats");
   obs::Gauge& heartbeat_rtt_ns =
       obs::gauge("psf.switchboard.heartbeat.rtt_ns");
@@ -186,15 +284,14 @@ util::Result<std::shared_ptr<Connection>> Connection::establish(
   connection->suites_[1] = suite_b;
   connection->proofs_[0] = std::move(proof_of_a).take();
   connection->proofs_[1] = std::move(proof_of_b).take();
-  connection->cipher_keys_[0] = crypto::derive_channel_key(secret, "a2b");
-  connection->cipher_keys_[1] = crypto::derive_channel_key(secret, "b2a");
-  // Key the HMAC midstates once: the per-direction MAC key's ipad/opad
-  // compression blocks are absorbed here, so each frame only streams its own
-  // bytes (saves two SHA-256 blocks per MAC on the hot path).
-  connection->mac_seeds_[0] = crypto::HmacSha256(
-      crypto::hmac_sha256_bytes(secret, util::to_bytes("mac-a2b")));
-  connection->mac_seeds_[1] = crypto::HmacSha256(
-      crypto::hmac_sha256_bytes(secret, util::to_bytes("mac-b2a")));
+  SessionKeyMaterial trunk_keys;
+  trunk_keys.cipher[0] = crypto::derive_channel_key(secret, "a2b");
+  trunk_keys.cipher[1] = crypto::derive_channel_key(secret, "b2a");
+  trunk_keys.mac_key[0] =
+      crypto::hmac_sha256_bytes(secret, util::to_bytes("mac-a2b"));
+  trunk_keys.mac_key[1] =
+      crypto::hmac_sha256_bytes(secret, util::to_bytes("mac-b2a"));
+  connection->keys_ = FrameKeys(trunk_keys);
   connection->resumption_secret_ =
       crypto::hmac_sha256_bytes(secret, util::to_bytes("session-resume-v1"));
   connection->open_.store(true);
@@ -279,7 +376,7 @@ void Connection::install_monitor(End end) {
       });
 }
 
-Connection::SessionKeyMaterial Connection::derive_session_keys(
+SessionKeyMaterial Connection::derive_session_keys(
     std::uint64_t session_id, const char* label) const {
   SessionKeyMaterial keys;
   static constexpr const char* kDirection[2] = {"a2b", "b2a"};
@@ -303,72 +400,24 @@ Connection::SessionKeyMaterial Connection::derive_session_keys(
 
 void Connection::seal_into(End sender, const std::uint8_t* plaintext,
                            std::size_t len, util::Bytes& frame) {
-  // `plaintext` must not alias `frame` — the frame is rebuilt from scratch
-  // (only its capacity survives across calls).
   const int dir = index(sender);
-  const std::uint64_t seq = ++send_seq_[dir];
-  const std::size_t total = kFrameOverhead + len;
-  ChannelMetrics& metrics = ChannelMetrics::get();
-  if (frame.capacity() < total) {
-    metrics.scratch_grows.inc();
-  } else {
-    metrics.scratch_reuses.inc();
-  }
-  frame.clear();
-  frame.reserve(total);
-  util::put_u64_be(frame, seq);
-  frame.insert(frame.end(), plaintext, plaintext + len);
-  // Encrypt the plaintext where it sits in the frame, then MAC the frame
-  // bytes directly from a copied keyed midstate — no mac_input, body, or
-  // ciphertext temporaries.
-  crypto::chacha20_xor_inplace(cipher_keys_[dir], nonce_for(dir, seq), 1,
-                               frame.data() + 8, len);
-  crypto::HmacSha256 mac = mac_seeds_[dir];
-  mac.update(frame.data(), frame.size());
-  frame.resize(total);
-  mac.final_into(frame.data() + 8 + len);
+  seal_frame(keys_, dir, ++send_seq_[dir], plaintext, len, frame);
 }
 
 util::Result<std::size_t> Connection::unseal_into(End receiver,
                                                   const util::Bytes& frame,
                                                   util::Bytes& plain) {
-  using Fail = util::Result<std::size_t>;
   // Receiver decodes the *other* end's direction.
   const int dir = index(other(receiver));
-  if (frame.size() < kFrameOverhead) return Fail::failure("frame", "short frame");
-  const std::uint64_t seq = util::get_u64_be(frame, 0);
-  const std::size_t body_len = frame.size() - 32;
-  // MAC check over seq|ciphertext in place; compare against the trailing tag
-  // without slicing it out.
-  crypto::HmacSha256 mac = mac_seeds_[dir];
-  mac.update(frame.data(), body_len);
-  const crypto::Digest256 expected = mac.final();
-  if (!util::equal_ct(frame.data() + body_len, expected.data(),
-                      expected.size())) {
-    return Fail::failure("frame", "MAC verification failed");
-  }
+  auto opened = open_frame(keys_, dir, frame.data(), frame.size(), plain);
+  if (!opened.ok()) return opened.error();
+  bool fresh = false;
   {
     std::lock_guard lock(mutex_);
-    if (!recv_window_[dir].check_and_insert(seq)) {
-      ChannelMetrics::get().replay_rejections.inc();
-      obs::journal::emit(obs::journal::Subsystem::kSwitchboard,
-                         obs::journal::kSwReplayReject, seq,
-                         static_cast<std::uint64_t>(dir));
-      return Fail::failure("replay", "replayed or stale frame (seq " +
-                                         std::to_string(seq) + ")");
-    }
+    fresh = recv_window_[dir].check_and_insert(opened.value());
   }
-  const std::size_t len = frame.size() - kFrameOverhead;
-  ChannelMetrics& metrics = ChannelMetrics::get();
-  if (plain.capacity() < len) {
-    metrics.scratch_grows.inc();
-  } else {
-    metrics.scratch_reuses.inc();
-  }
-  plain.assign(frame.begin() + 8, frame.end() - 32);
-  crypto::chacha20_xor_inplace(cipher_keys_[dir], nonce_for(dir, seq), 1,
-                               plain.data(), len);
-  return util::Result<std::size_t>(len);
+  if (!fresh) return replay_rejected(opened.value(), dir, plain);
+  return plain.size();
 }
 
 util::Bytes Connection::seal(End sender, const util::Bytes& plaintext) {

@@ -5,7 +5,8 @@
 //  - Key exchange: ephemeral Diffie-Hellman on the Ed25519 group; transcript
 //    signed by each side's PKI identity.
 //  - Cipher: per-direction ChaCha20 keys; frames are MACed (HMAC-SHA-256)
-//    and carry strictly increasing sequence numbers (replay resistance).
+//    and carry sequence numbers checked against a sliding replay window.
+//    One frame codec (below) serves the trunk and every derived session.
 //  - Authorization: each side's Authorizer evaluates the partner's dRBAC
 //    credentials into a proof; AuthorizationMonitors (dRBAC ProofMonitors)
 //    fire when a credential is revoked mid-connection, suspending the
@@ -39,6 +40,64 @@
 #include "util/sim_clock.hpp"
 
 namespace psf::switchboard {
+
+// ------------------------------------------------------------- frame codec
+//
+// Every sealed frame (trunk RPCs and heartbeats, derived-session data and
+// control) has one layout and one implementation, in channel.cpp:
+//
+//   seq(8, big-endian) | ChaCha20(plaintext) | HMAC-SHA-256(seq|ciphertext)
+//
+// The nonce is the direction byte plus the little-endian seq. Opening checks
+// the length, then the MAC (constant time), then decrypts; the owner's
+// replay window runs last. A rejection carries exactly one code: `frame`
+// (shorter than kFrameOverhead), `mac` (tag mismatch: tampered, truncated,
+// extended, or wrong key or direction) or `replay` (replayed or stale).
+
+/// Bytes a sealed frame adds to its plaintext: seq(8) + hmac(32).
+inline constexpr std::size_t kFrameOverhead = 8 + 32;
+
+/// Raw per-direction key material ([0]=A->B, [1]=B->A), as the trunk
+/// handshake and Connection::derive_session_keys produce it.
+struct SessionKeyMaterial {
+  crypto::ChaChaKey cipher[2];
+  util::Bytes mac_key[2];
+};
+
+/// The codec's keyed form of SessionKeyMaterial: HMAC midstates with each
+/// MAC key's ipad/opad blocks absorbed once, so a frame streams only its own
+/// bytes.
+struct FrameKeys {
+  FrameKeys() = default;
+  explicit FrameKeys(const SessionKeyMaterial& material);
+  crypto::ChaChaKey cipher[2]{};
+  crypto::HmacSha256 mac_seed[2];
+};
+
+/// Per-session framing state for the event transport (reactor.hpp): the
+/// codec keyed by derived session material, a plain send counter and an
+/// unlocked replay window. Owned by exactly one EventChannel and only
+/// touched from its loop thread, so unlike the trunk it needs no locks.
+class SessionCrypto {
+ public:
+  SessionCrypto() = default;
+  SessionCrypto(const SessionKeyMaterial& keys);
+
+  /// Seal `plain` as the next frame in direction `dir` (0 = A->B, 1 = B->A)
+  /// into `frame` (capacity reused across calls).
+  void seal_into(int dir, const std::uint8_t* plain, std::size_t len,
+                 util::Bytes& frame);
+
+  /// Open a frame received in direction `dir`: the plaintext length, with
+  /// the plaintext in `plain`, or a frame/mac/replay error (`plain` empty).
+  util::Result<std::size_t> unseal_into(int dir, const std::uint8_t* frame,
+                                        std::size_t len, util::Bytes& plain);
+
+ private:
+  FrameKeys keys_;
+  std::uint64_t send_seq_[2] = {0, 0};
+  ReplayWindow recv_window_[2];
+};
 
 class Connection;
 
@@ -157,29 +216,21 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // DH + signature handshake per trunk, not per client, while each session
   // still has cryptographically independent framing.
 
-  /// Per-direction key material for one derived session ([0]=A->B, [1]=B->A).
-  struct SessionKeyMaterial {
-    crypto::ChaChaKey cipher[2];
-    util::Bytes mac_key[2];
-  };
-
-  /// Derive the session keys for `session_id`. Pure function of the
-  /// connection's resumption secret: both ends compute identical material
-  /// without a round trip. session_id 0 is reserved (trunk passthrough in
-  /// the event transport); the reactor's control frames use a distinct
-  /// label so they never collide with data sessions.
+  /// Derive the session keys for `session_id` (any value; ids must be unique
+  /// per trunk). Pure function of the connection's resumption secret: both
+  /// ends compute identical material without a round trip. The reactor's
+  /// control frames use a distinct label so they never collide with data
+  /// sessions.
   SessionKeyMaterial derive_session_keys(std::uint64_t session_id,
                                          const char* label = "data") const;
 
   // --- raw frame sealing with replay protection ---
   //
-  // The zero-copy forms build/verify the frame in a caller-owned buffer
-  // (capacity reused across calls): seal_into encrypts the plaintext in
-  // place inside the frame and MACs the frame bytes directly (streaming
-  // HMAC over spans — no mac_input/body/ciphertext temporaries); unseal_into
-  // verifies the MAC over the frame, then decrypts into `plain` in place.
+  // The frame codec above, keyed by the trunk's own material: seal_into
+  // takes the next sequence number without a lock, unseal_into checks the
+  // replay window under mutex_ (concurrent calls may deliver out of order).
   // seal/unseal are thin allocating wrappers kept for tests and one-shot
-  // callers. Wire format is unchanged: seq(8) | ciphertext | hmac(32).
+  // callers.
   void seal_into(End sender, const std::uint8_t* plaintext, std::size_t len,
                  util::Bytes& frame);
   util::Result<std::size_t> unseal_into(End receiver, const util::Bytes& frame,
@@ -199,10 +250,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::unique_ptr<drbac::ProofMonitor> monitors_[2];
   std::atomic<bool> suspended_[2] = {false, false};
 
-  crypto::ChaChaKey cipher_keys_[2];  // [0]=A->B, [1]=B->A
-  // Keyed HMAC midstates (key schedule done once at establish); each frame
-  // copies the seed and streams over the frame bytes.
-  crypto::HmacSha256 mac_seeds_[2];
+  FrameKeys keys_;  // [0]=A->B, [1]=B->A
   // HMAC(shared secret, "session-resume-v1"): the root from which
   // derive_session_keys() grows per-session keys for the event transport.
   util::Bytes resumption_secret_;

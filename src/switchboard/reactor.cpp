@@ -6,7 +6,6 @@
 #include <fstream>
 #include <thread>
 
-#include "crypto/chacha20.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -33,19 +32,6 @@ constexpr std::uint8_t kPong = 5;
 // out in the tens of kilobytes.
 constexpr std::size_t kMaxMessage = 16u << 20;
 
-// Same layout as the trunk's (channel.cpp): direction byte + little-endian
-// seq in the nonce tail, so derived-session frames stay format-identical.
-crypto::ChaChaNonce nonce_for(int direction, std::uint64_t seq) {
-  crypto::ChaChaNonce nonce{};
-  nonce[0] = static_cast<std::uint8_t>(direction);
-  for (int i = 0; i < 8; ++i) {
-    nonce[4 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  return nonce;
-}
-
-constexpr std::size_t kFrameOverhead = 8 /*seq*/ + 32 /*hmac*/;
-
 struct ReactorMetrics {
   static ReactorMetrics& get() {
     static ReactorMetrics metrics;
@@ -58,11 +44,6 @@ struct ReactorMetrics {
   obs::Counter& session_frames =
       obs::counter("psf.switchboard.session.frames");
   obs::Counter& session_bytes = obs::counter("psf.switchboard.session.bytes");
-  obs::Counter& scratch_reuses =
-      obs::counter("psf.switchboard.scratch.reuses");
-  obs::Counter& scratch_grows = obs::counter("psf.switchboard.scratch.grows");
-  obs::Counter& replay_rejections =
-      obs::counter("psf.switchboard.replay.rejections");
   obs::Histogram& batch_frames =
       obs::histogram("psf.switchboard.loop.batch_frames");
 };
@@ -77,20 +58,6 @@ int env_int(const char* name, int fallback) {
 }
 
 }  // namespace
-
-// ------------------------------------------------------------------ selector
-
-TransportKind transport_from_env() {
-  const char* value = std::getenv("PSF_SWITCHBOARD_TRANSPORT");
-  if (value != nullptr && std::strcmp(value, "threads") == 0) {
-    return TransportKind::kThreadPerConnection;
-  }
-  return TransportKind::kEventLoop;
-}
-
-const char* to_string(TransportKind kind) {
-  return kind == TransportKind::kEventLoop ? "event" : "threads";
-}
 
 // ------------------------------------------------------------------ conduits
 
@@ -235,71 +202,6 @@ ConduitPair make_memory_conduit_pair() {
           std::make_unique<MemoryConduit>(a_to_b, b_to_a)};
 }
 
-// ----------------------------------------------------------- session crypto
-
-SessionCrypto::SessionCrypto(const Connection::SessionKeyMaterial& keys) {
-  for (int dir = 0; dir < 2; ++dir) {
-    cipher_[dir] = keys.cipher[dir];
-    mac_seed_[dir] = crypto::HmacSha256(keys.mac_key[dir]);
-  }
-}
-
-void SessionCrypto::seal_into(int dir, const std::uint8_t* plain,
-                              std::size_t len, util::Bytes& frame) {
-  const std::uint64_t seq = ++send_seq_[dir];
-  const std::size_t total = kFrameOverhead + len;
-  ReactorMetrics& metrics = ReactorMetrics::get();
-  if (frame.capacity() < total) {
-    metrics.scratch_grows.inc();
-  } else {
-    metrics.scratch_reuses.inc();
-  }
-  frame.clear();
-  frame.reserve(total);
-  util::put_u64_be(frame, seq);
-  frame.insert(frame.end(), plain, plain + len);
-  crypto::chacha20_xor_inplace(cipher_[dir], nonce_for(dir, seq), 1,
-                               frame.data() + 8, len);
-  crypto::HmacSha256 mac = mac_seed_[dir];
-  mac.update(frame.data(), frame.size());
-  frame.resize(total);
-  mac.final_into(frame.data() + 8 + len);
-}
-
-util::Result<std::size_t> SessionCrypto::unseal_into(int dir,
-                                                     const std::uint8_t* frame,
-                                                     std::size_t len,
-                                                     util::Bytes& plain) {
-  using Fail = util::Result<std::size_t>;
-  if (len < kFrameOverhead) return Fail::failure("frame", "short frame");
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 8; ++i) seq = (seq << 8) | frame[i];
-  const std::size_t body_len = len - 32;
-  crypto::HmacSha256 mac = mac_seed_[dir];
-  mac.update(frame, body_len);
-  const auto expected = mac.final();
-  if (!util::equal_ct(frame + body_len, expected.data(), 32)) {
-    return Fail::failure("mac", "bad frame MAC");
-  }
-  // Loop-thread-only state: unlike the trunk, no lock around the window.
-  if (!recv_window_[dir].check_and_insert(seq)) {
-    ReactorMetrics::get().replay_rejections.inc();
-    return Fail::failure("replay", "replayed or stale frame (seq " +
-                                       std::to_string(seq) + ")");
-  }
-  const std::size_t plain_len = len - kFrameOverhead;
-  ReactorMetrics& metrics = ReactorMetrics::get();
-  if (plain.capacity() < plain_len) {
-    metrics.scratch_grows.inc();
-  } else {
-    metrics.scratch_reuses.inc();
-  }
-  plain.assign(frame + 8, frame + 8 + plain_len);
-  crypto::chacha20_xor_inplace(cipher_[dir], nonce_for(dir, seq), 1,
-                               plain.data(), plain_len);
-  return util::Result<std::size_t>(plain_len);
-}
-
 // ------------------------------------------------------------- EventChannel
 
 EventChannel::EventChannel(EventLoop& loop, std::unique_ptr<Conduit> conduit,
@@ -342,10 +244,8 @@ std::shared_ptr<EventChannel> EventChannel::open(
 void EventChannel::register_with_loop() {
   loop_.assert_in_loop();
   ReactorMetrics::get().sessions_opened.inc();
-  control_ = SessionCrypto(trunk_->derive_session_keys(session_id_, "ctl"));
-  if (session_id_ != 0) {
-    session_ = SessionCrypto(trunk_->derive_session_keys(session_id_, "data"));
-  }
+  // Servers learn the session id, and so their keys, from the HELLO.
+  if (role_ == Role::kClient) derive_session_keys();
   std::weak_ptr<EventChannel> weak = weak_from_this();
   const int fd = conduit_->fd();
   if (fd >= 0) {
@@ -385,6 +285,11 @@ void EventChannel::register_with_loop() {
   on_readable();
 }
 
+void EventChannel::derive_session_keys() {
+  control_ = SessionCrypto(trunk_->derive_session_keys(session_id_, "ctl"));
+  session_ = SessionCrypto(trunk_->derive_session_keys(session_id_, "data"));
+}
+
 void EventChannel::send_hello() {
   util::Bytes plain = util::to_bytes(mailbox_);
   send_control(kHello, plain);
@@ -399,14 +304,7 @@ void EventChannel::send_control(std::uint8_t type, const util::Bytes& plain) {
 
 void EventChannel::send_data_frame(const util::Bytes& plain) {
   thread_local util::Bytes frame;
-  if (session_id_ == 0) {
-    // Trunk passthrough: byte-identical to the thread-per-connection path.
-    const Connection::End sender =
-        role_ == Role::kClient ? Connection::End::kA : Connection::End::kB;
-    trunk_->seal_into(sender, plain.data(), plain.size(), frame);
-  } else {
-    session_.seal_into(dir_send(), plain.data(), plain.size(), frame);
-  }
+  session_.seal_into(dir_send(), plain.data(), plain.size(), frame);
   append_message(kData, frame.data(), frame.size());
 }
 
@@ -513,10 +411,7 @@ bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
       std::uint64_t sid = 0;
       for (int i = 0; i < 8; ++i) sid = (sid << 8) | body[i];
       session_id_ = sid;
-      control_ = SessionCrypto(trunk_->derive_session_keys(sid, "ctl"));
-      if (sid != 0) {
-        session_ = SessionCrypto(trunk_->derive_session_keys(sid, "data"));
-      }
+      derive_session_keys();
       auto unsealed = control_.unseal_into(dir_recv(), body + 8, len - 8, plain);
       if (!unsealed.ok()) {
         close_on_loop("HELLO " + unsealed.error().message);
@@ -562,16 +457,7 @@ bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
         close_on_loop("DATA before establishment");
         return false;
       }
-      util::Result<std::size_t> unsealed(std::size_t{0});
-      if (session_id_ == 0) {
-        const Connection::End receiver =
-            role_ == Role::kClient ? Connection::End::kA : Connection::End::kB;
-        thread_local util::Bytes frame_copy;
-        frame_copy.assign(body, body + len);
-        unsealed = trunk_->unseal_into(receiver, frame_copy, plain);
-      } else {
-        unsealed = session_.unseal_into(dir_recv(), body, len, plain);
-      }
+      auto unsealed = session_.unseal_into(dir_recv(), body, len, plain);
       if (!unsealed.ok()) {
         close_on_loop("frame " + unsealed.error().message);
         return false;
@@ -833,12 +719,14 @@ HeartbeatHandle Reactor::schedule_heartbeats(
            active = handle.active_, beats = handle.beats_] {
     if (!active->load()) return;
     auto conn = weak_connection.lock();
-    if (!conn || !conn->open()) {
+    if (conn && conn->open()) {
+      conn->heartbeat();
+      beats->fetch_add(1);
+    }
+    if (!conn || !conn->open()) {  // gone, or this probe found it dead
       active->store(false);
       return;
     }
-    conn->heartbeat();
-    beats->fetch_add(1);
     loop->schedule(period_ns, [weak_tick] {
       if (auto self = weak_tick.lock()) (*self)();
     });

@@ -1,8 +1,7 @@
-// Reactor: the event-driven Switchboard transport (ISSUE 7 tentpole).
+// Reactor: the event-driven Switchboard transport.
 //
 // A fixed pool of EventLoop workers multiplexes many thousands of secure
-// sessions, replacing the thread-per-connection path (Connection::call +
-// HeartbeatDriver threads) for high-fanout deployments:
+// sessions, so high-fanout deployments need no thread per connection:
 //
 //   Reactor ── owns ──> EventLoop[0..W)          one OS thread each
 //                          │  fd poller (epoll/poll) + timer wheel + tasks
@@ -14,9 +13,8 @@
 // (Connection::derive_session_keys): the DH + signature + authorization
 // handshake is paid once per trunk, while every session keeps its own
 // per-direction ChaCha20/HMAC keys, sequence space, and anti-replay window.
-// Frame format inside a session is identical to the trunk's
-// (seq8 | ciphertext | hmac32), so the PR 3 zero-copy seal/unseal discipline
-// carries over unchanged — scratch buffers are per loop thread and reused
+// Sessions and the trunk share one frame codec (channel.hpp: seq8 |
+// ciphertext | hmac32); scratch buffers are per loop thread and reused
 // across every channel on that worker.
 //
 // Connection state machine (one EventChannel per end):
@@ -32,10 +30,6 @@
 // complete frame, seals all responses into one write buffer, and flushes
 // with a single write — so a burst of B requests costs O(1) syscalls/wakes,
 // not O(B).
-//
-// The old transport stays available behind TransportKind for differential
-// testing: the same request bytes produce byte-identical sealed frames on
-// both paths (asserted by tests/reactor_test.cpp).
 #pragma once
 
 #include <atomic>
@@ -51,20 +45,8 @@
 
 #include "switchboard/channel.hpp"
 #include "switchboard/event_loop.hpp"
-#include "switchboard/replay_window.hpp"
 
 namespace psf::switchboard {
-
-// ------------------------------------------------------------------ selector
-
-/// Which transport carries mail (and other high-fanout) traffic. The
-/// thread-per-connection path is the paper-faithful baseline; the event loop
-/// is the production-scale core. Kept selectable for differential testing.
-enum class TransportKind { kThreadPerConnection, kEventLoop };
-
-/// $PSF_SWITCHBOARD_TRANSPORT: "threads" | "event" (default "event").
-TransportKind transport_from_env();
-const char* to_string(TransportKind kind);
 
 // ------------------------------------------------------------------ conduits
 
@@ -117,36 +99,6 @@ ConduitPair make_socket_conduit_pair();
 /// In-process ring pipe; never blocks, grows on demand.
 ConduitPair make_memory_conduit_pair();
 
-// ----------------------------------------------------------- session crypto
-
-/// Per-session framing state: the same seq8|ciphertext|hmac32 wire format
-/// and scratch-buffer discipline as Connection::seal_into/unseal_into, keyed
-/// by derived session material. Owned by exactly one EventChannel and only
-/// touched from its loop thread, so unlike the trunk it needs no locks.
-class SessionCrypto {
- public:
-  SessionCrypto() = default;
-  SessionCrypto(const Connection::SessionKeyMaterial& keys);
-
-  /// Seal `plain` as the next frame in direction `dir` (0 = A->B, 1 = B->A)
-  /// into `frame` (capacity reused across calls).
-  void seal_into(int dir, const std::uint8_t* plain, std::size_t len,
-                 util::Bytes& frame);
-
-  /// Verify + decrypt a frame received in direction `dir`; returns the
-  /// plaintext length in `plain` or a frame/replay error.
-  util::Result<std::size_t> unseal_into(int dir, const std::uint8_t* frame,
-                                        std::size_t len, util::Bytes& plain);
-
-  std::uint64_t send_seq(int dir) const { return send_seq_[dir]; }
-
- private:
-  crypto::ChaChaKey cipher_[2]{};
-  crypto::HmacSha256 mac_seed_[2];
-  std::uint64_t send_seq_[2] = {0, 0};
-  ReplayWindow recv_window_[2];
-};
-
 // ------------------------------------------------------------- EventChannel
 
 /// Per-session connection state machine living on one EventLoop worker.
@@ -183,10 +135,8 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
       std::size_t max_batch_frames = 128);
 
   /// Build the client end and start the session handshake. `session_id`
-  /// must be unique per trunk (0 = trunk passthrough: frames are sealed with
-  /// the trunk connection's own keys and sequence space — the differential-
-  /// testing hook). `mailbox` rides in the HELLO so the server can assert
-  /// shard placement.
+  /// must be unique per trunk. `mailbox` rides in the HELLO so the server
+  /// can assert shard placement.
   static std::shared_ptr<EventChannel> open(
       EventLoop& loop, std::unique_ptr<Conduit> conduit,
       std::shared_ptr<Connection> trunk, std::uint64_t session_id,
@@ -227,6 +177,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   void process_read_buffer();
   bool handle_message(std::uint8_t type, const std::uint8_t* body,
                       std::size_t len);
+  void derive_session_keys();
   void send_hello();
   void send_control(std::uint8_t type, const util::Bytes& plain);
   void send_data_frame(const util::Bytes& plain);
@@ -247,7 +198,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   std::string mailbox_;
   const std::size_t max_batch_frames_;
 
-  SessionCrypto session_;       // data frames (unused when session_id_ == 0)
+  SessionCrypto session_;       // DATA framing
   SessionCrypto control_;       // HELLO/WELCOME/PING framing
   std::atomic<State> state_{State::kHandshaking};
 
@@ -335,11 +286,11 @@ class Reactor {
                                      std::uint64_t session_id,
                                      std::string mailbox);
 
-  /// Drive Connection::heartbeat() from the timer wheel instead of a
-  /// dedicated HeartbeatDriver thread: O(1) threads for any number of
-  /// monitored connections. The probe runs on a worker loop; cancel via the
-  /// handle (or Reactor::stop). Connections are spread across workers by
-  /// host-name hash.
+  /// Drive Connection::heartbeat() from the timer wheel: O(1) threads for
+  /// any number of monitored connections. The probe runs on a worker loop;
+  /// the schedule ends when the connection closes (the handle turns
+  /// inactive), on cancel, or at Reactor::stop. Connections are spread
+  /// across workers round-robin.
   HeartbeatHandle schedule_heartbeats(std::shared_ptr<Connection> connection,
                                       std::chrono::milliseconds period);
 

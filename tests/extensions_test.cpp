@@ -1,10 +1,7 @@
-// Tests for the extension features: the credential wire format, the
-// threaded heartbeat driver, and the policy translation bridge (the paper's
-// §6 future-work item), plus fuzz suites over every external input surface.
+// Tests for the extension features: the credential wire format and the
+// policy translation bridge (the paper's §6 future-work item), plus fuzz
+// suites over every external input surface.
 #include <gtest/gtest.h>
-
-#include <chrono>
-#include <thread>
 
 #include "drbac/credential.hpp"
 #include "mail/components.hpp"
@@ -13,7 +10,7 @@
 #include "minilang/parser.hpp"
 #include "psf/policy_bridge.hpp"
 #include "switchboard/authorizer.hpp"
-#include "switchboard/heartbeat.hpp"
+#include "switchboard/channel.hpp"
 #include "util/rng.hpp"
 #include "views/vig.hpp"
 #include "xml/xml.hpp"
@@ -230,7 +227,7 @@ TEST(RepositorySync, FuzzMergeNeverCrashes) {
   }
 }
 
-// --------------------------------------------------------- heartbeat driver
+// ------------------------------------------------------ switchboard channel
 
 struct ChannelWorld {
   util::Rng rng{2025};
@@ -258,40 +255,6 @@ struct ChannelWorld {
     return a.connect(b, suite, rng).value();
   }
 };
-
-TEST(HeartbeatDriver, BeatsUntilStopped) {
-  ChannelWorld w;
-  auto conn = w.connect();
-  switchboard::HeartbeatDriver driver(conn, std::chrono::milliseconds(5));
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  driver.stop();
-  EXPECT_GT(driver.beats(), 2u);
-  EXPECT_GT(conn->stats().heartbeats, 0u);
-  EXPECT_TRUE(conn->open());
-}
-
-TEST(HeartbeatDriver, StopsWhenConnectionDies) {
-  ChannelWorld w;
-  auto conn = w.connect();
-  switchboard::HeartbeatDriver driver(conn, std::chrono::milliseconds(5));
-  w.net.disconnect("a", "b");
-  // The next beat notices liveness loss and the driver stops itself.
-  for (int i = 0; i < 100 && driver.running(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_FALSE(conn->open());
-  EXPECT_FALSE(driver.running());
-}
-
-TEST(HeartbeatDriver, DestructorJoinsCleanly) {
-  ChannelWorld w;
-  auto conn = w.connect();
-  {
-    switchboard::HeartbeatDriver driver(conn, std::chrono::milliseconds(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }  // destructor stops + joins; no crash, no leak under ASAN
-  SUCCEED();
-}
 
 // ------------------------------------------------------------ policy bridge
 
@@ -485,14 +448,88 @@ TEST(Fuzz, VigOnRandomDefinitionsNeverCrashes) {
   SUCCEED();
 }
 
+/// Hostile variants of one valid sealed frame: every truncation, one bit
+/// flipped in each byte, and 1-16 random bytes appended.
+std::vector<util::Bytes> mutate_frame(const util::Bytes& frame,
+                                      util::Rng& rng) {
+  std::vector<util::Bytes> variants;
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    variants.emplace_back(frame.begin(),
+                          frame.begin() + static_cast<std::ptrdiff_t>(cut));
+  }
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    util::Bytes flipped = frame;
+    flipped[i] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    variants.push_back(std::move(flipped));
+  }
+  util::Bytes extended = frame;
+  const util::Bytes tail = rng.next_bytes(1 + rng.next_below(16));
+  extended.insert(extended.end(), tail.begin(), tail.end());
+  variants.push_back(std::move(extended));
+  return variants;
+}
+
+/// A rejection carries exactly one of the codec's codes (`expected`) and
+/// hands back no plaintext.
+void expect_rejected(const util::Result<std::size_t>& r,
+                     const util::Bytes& plain, const std::string& expected) {
+  ASSERT_FALSE(r.ok());
+  const std::string& code = r.error().code;
+  EXPECT_TRUE(code == "frame" || code == "mac" || code == "replay") << code;
+  EXPECT_EQ(code, expected);
+  EXPECT_TRUE(plain.empty()) << "plaintext handed back on " << code;
+}
+
+std::string code_for_corrupt(const util::Bytes& frame) {
+  return frame.size() < switchboard::kFrameOverhead ? "frame" : "mac";
+}
+
 TEST(Fuzz, ConnectionUnsealOnRandomFramesNeverCrashes) {
+  using End = switchboard::Connection::End;
   ChannelWorld w;
   auto conn = w.connect();
   util::Rng rng(1005);
+  util::Bytes plain;
+  auto trunk_open = [&](End receiver, const util::Bytes& frame) {
+    plain = util::to_bytes("stale");
+    return conn->unseal_into(receiver, frame, plain);
+  };
   for (int i = 0; i < 500; ++i) {
     const util::Bytes garbage = rng.next_bytes(rng.next_below(160));
-    auto r = conn->unseal(switchboard::Connection::End::kB, garbage);
-    EXPECT_FALSE(r.ok());
+    expect_rejected(trunk_open(End::kB, garbage), plain,
+                    code_for_corrupt(garbage));
+  }
+
+  // Mutated valid frames, on the trunk and on a derived session. No variant
+  // opens or takes a replay slot, so each original still opens exactly once.
+  switchboard::SessionCrypto sender(conn->derive_session_keys(5, "data"));
+  switchboard::SessionCrypto receiver(conn->derive_session_keys(5, "data"));
+  auto session_open = [&](int dir, const util::Bytes& frame) {
+    plain = util::to_bytes("stale");
+    return receiver.unseal_into(dir, frame.data(), frame.size(), plain);
+  };
+  for (const std::size_t size : {0, 1, 33, 200}) {
+    const util::Bytes payload = rng.next_bytes(size);
+    const util::Bytes trunk_frame = conn->seal(End::kA, payload);
+    util::Bytes session_frame;
+    sender.seal_into(0, payload.data(), payload.size(), session_frame);
+
+    for (const util::Bytes& bad : mutate_frame(trunk_frame, rng)) {
+      expect_rejected(trunk_open(End::kB, bad), plain, code_for_corrupt(bad));
+    }
+    for (const util::Bytes& bad : mutate_frame(session_frame, rng)) {
+      expect_rejected(session_open(0, bad), plain, code_for_corrupt(bad));
+    }
+    // Swapped direction: the other direction's keys.
+    expect_rejected(trunk_open(End::kA, trunk_frame), plain, "mac");
+    expect_rejected(session_open(1, session_frame), plain, "mac");
+
+    ASSERT_TRUE(trunk_open(End::kB, trunk_frame).ok());
+    EXPECT_EQ(plain, payload);
+    ASSERT_TRUE(session_open(0, session_frame).ok());
+    EXPECT_EQ(plain, payload);
+    expect_rejected(trunk_open(End::kB, trunk_frame), plain, "replay");
+    expect_rejected(session_open(0, session_frame), plain, "replay");
   }
 }
 

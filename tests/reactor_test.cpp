@@ -1,14 +1,16 @@
-// Reactor / EventChannel / sharded-mail tests (ISSUE 7): session key
-// derivation, the connection state machine over memory and socket conduits,
-// draining teardown, cross-worker shard routing, wheel-scheduled heartbeats,
-// and the differential old-vs-new transport check — identically-keyed
-// connections must produce byte-identical sealed frames on the thread-per-
-// connection path and the event-loop path (trunk passthrough, session 0).
+// Reactor / EventChannel / sharded-mail tests: session key derivation,
+// golden sealed-frame vectors for the trunk and derived sessions, the
+// connection state machine over memory and socket conduits, draining
+// teardown, cross-worker shard routing, wheel-scheduled heartbeats, and a
+// value-level check that Connection::call and an EventChannel agree on mail
+// results.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <future>
+#include <map>
 #include <thread>
 
 #include "drbac/credential.hpp"
@@ -41,10 +43,10 @@ bool eventually(Pred pred) {
   return pred();
 }
 
-/// The switchboard_test ChannelWorld, reproduced here so two instances can
-/// be constructed with the same seed: every Rng draw (entity keys, DH) then
-/// replays identically, giving the differential tests two connections with
-/// byte-identical key material.
+/// The switchboard_test ChannelWorld, reproduced here with a seed parameter:
+/// every Rng draw (entity keys, DH) replays identically, so two instances
+/// with one seed hold byte-identical key material and the golden frames
+/// are reproducible.
 struct TrunkWorld {
   explicit TrunkWorld(std::uint64_t seed = 2024) : rng(seed) {
     net.connect("client-host", "server-host", {1 * kMillisecond, 0, false});
@@ -333,93 +335,113 @@ TEST(EventChannel, DrainingTeardown) {
   loop.stop();
 }
 
-// ------------------------------------------------------------ differential
+// ------------------------------------------------------------ golden frames
 
-TEST(Differential, TrunkPassthroughFramesAreByteIdentical) {
-  // Twin worlds, same seed: conn_old (thread-per-connection transport) and
-  // conn_new (trunk under the event transport) hold identical key material.
-  TrunkWorld old_world(99), new_world(99);
-  auto conn_old = old_world.connect();
-  auto conn_new = new_world.connect();
+// Sealed frames pinned byte for byte in tests/fixtures/frames/golden.txt
+// ("<name> <hex>" per line): the seq8|ciphertext|hmac32 layout, the trunk's
+// key schedule and the session key derivation must never drift. Frame n of
+// each direction (n = 1..3) carries golden_payload(n): empty, short text,
+// then 1100 patterned bytes.
+util::Bytes golden_payload(int n) {
+  if (n == 1) return {};
+  if (n == 2) return util::to_bytes("golden frame");
+  util::Bytes big(1100);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  return big;
+}
 
-  const util::Bytes payload = encode_request("mail", "getPhone",
-                                             {Value::string("alice")});
-  // Old path: first A->B frame off a fresh connection (seq 1).
-  const util::Bytes frame_old = conn_old->seal(Connection::End::kA, payload);
+using GoldenFrames = std::vector<std::pair<std::string, util::Bytes>>;
 
-  // New path: session 0 = trunk passthrough. Drive the client end against a
-  // hand-rolled server so the raw wire bytes are observable.
-  EventLoop loop;
-  loop.start();
-  auto pair = make_memory_conduit_pair();
-  Conduit& server_end = *pair.b;
-  auto client = EventChannel::open(loop, std::move(pair.a), conn_new,
-                                   /*session_id=*/0, "alice");
-  client->submit(payload, [](util::Result<util::Bytes>) {});
+/// Trunk frames: Connection::seal from both ends of the seed-99 TrunkWorld.
+GoldenFrames trunk_golden_frames(Connection& conn) {
+  GoldenFrames frames;
+  for (const auto& [end, name] :
+       {std::pair{Connection::End::kA, "a"}, std::pair{Connection::End::kB, "b"}}) {
+    for (int n = 1; n <= 3; ++n) {
+      frames.emplace_back(std::string("trunk.") + name + "." + std::to_string(n),
+                          conn.seal(end, golden_payload(n)));
+    }
+  }
+  return frames;
+}
 
-  // Manual server: read wire messages (u32_be len | u8 type | ...).
-  util::Bytes wire;
-  auto read_message = [&](std::uint8_t expect_type) -> util::Bytes {
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
-    for (;;) {
-      if (wire.size() >= 4) {
-        const std::uint32_t len = util::get_u32_be(wire, 0);
-        if (wire.size() >= 4 + len) {
-          util::Bytes body(wire.begin() + 4, wire.begin() + 4 + len);
-          wire.erase(wire.begin(), wire.begin() + 4 + len);
-          EXPECT_EQ(body[0], expect_type);
-          return body;
-        }
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        ADD_FAILURE() << "wire timeout waiting for type "
-                      << static_cast<int>(expect_type);
-        return {};
-      }
-      std::uint8_t chunk[4096];
-      const std::size_t n = server_end.read_some(chunk, sizeof chunk);
-      if (n == 0) {
-        std::this_thread::sleep_for(1ms);
-      } else {
-        wire.insert(wire.end(), chunk, chunk + n);
+/// Derived-session frames: session 17 under the "data" and "ctl" labels,
+/// both directions, from the same trunk.
+GoldenFrames session_golden_frames(const Connection& conn) {
+  GoldenFrames frames;
+  for (const char* label : {"data", "ctl"}) {
+    SessionCrypto sender(conn.derive_session_keys(17, label));
+    for (int dir = 0; dir < 2; ++dir) {
+      for (int n = 1; n <= 3; ++n) {
+        const util::Bytes plain = golden_payload(n);
+        util::Bytes frame;
+        sender.seal_into(dir, plain.data(), plain.size(), frame);
+        frames.emplace_back(std::string("session17.") + label +
+                                (dir == 0 ? ".a2b." : ".b2a.") +
+                                std::to_string(n),
+                            std::move(frame));
       }
     }
-  };
-
-  // HELLO: type 0 | u64 session id (0) | ctl-sealed mailbox.
-  const util::Bytes hello = read_message(0);
-  ASSERT_GE(hello.size(), 9u);
-  EXPECT_EQ(util::get_u64_be(hello, 1), 0u);
-  SessionCrypto ctl(conn_new->derive_session_keys(0, "ctl"));
-  util::Bytes hello_plain;
-  auto unsealed = ctl.unseal_into(0, hello.data() + 9, hello.size() - 9,
-                                  hello_plain);
-  ASSERT_TRUE(unsealed.ok()) << unsealed.error().message;
-  EXPECT_EQ(hello_plain, util::to_bytes("alice"));
-
-  // WELCOME back (type 1) establishes the client, which then sends the
-  // queued DATA frame.
-  util::Bytes welcome_frame;
-  ctl.seal_into(1, hello_plain.data(), hello_plain.size(), welcome_frame);
-  util::Bytes welcome;
-  util::put_u32_be(welcome, static_cast<std::uint32_t>(9 + welcome_frame.size()));
-  welcome.push_back(1);
-  util::put_u64_be(welcome, 0);
-  welcome.insert(welcome.end(), welcome_frame.begin(), welcome_frame.end());
-  std::size_t written = 0;
-  while (written < welcome.size()) {
-    written += server_end.write_some(welcome.data() + written,
-                                     welcome.size() - written);
   }
-
-  // DATA: type 2 | trunk-sealed frame — must equal the old transport's
-  // frame bit for bit (same keys, same seq, same wire format).
-  const util::Bytes data = read_message(2);
-  const util::Bytes frame_new(data.begin() + 1, data.end());
-  EXPECT_EQ(frame_new, frame_old)
-      << "event transport must preserve the sealed frame format exactly";
-  loop.stop();
+  return frames;
 }
+
+std::map<std::string, std::string> load_golden_frames() {
+  std::ifstream in(std::string(PSF_FRAME_GOLDEN_DIR) + "/golden.txt");
+  std::map<std::string, std::string> golden;
+  std::string name, hex;
+  while (in >> name >> hex) golden[name] = hex;
+  return golden;
+}
+
+void expect_golden(const GoldenFrames& frames) {
+  const auto golden = load_golden_frames();
+  ASSERT_FALSE(golden.empty()) << "missing tests/fixtures/frames/golden.txt";
+  for (const auto& [name, frame] : frames) {
+    auto it = golden.find(name);
+    ASSERT_NE(it, golden.end()) << "no golden vector " << name;
+    EXPECT_EQ(util::to_hex(frame), it->second) << name;
+  }
+}
+
+TEST(GoldenFrames, TrunkSealIsPinned) {
+  TrunkWorld w(99);
+  auto conn = w.connect();
+  const GoldenFrames frames = trunk_golden_frames(*conn);
+  expect_golden(frames);
+  // The pinned bytes also open: each end decodes the other's frames.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto receiver = i < 3 ? Connection::End::kB : Connection::End::kA;
+    auto plain = conn->unseal(receiver, frames[i].second);
+    ASSERT_TRUE(plain.ok()) << frames[i].first;
+    EXPECT_EQ(plain.value(), golden_payload(static_cast<int>(i % 3) + 1));
+  }
+}
+
+TEST(GoldenFrames, DerivedSessionSealIsPinned) {
+  TrunkWorld w(99);
+  auto conn = w.connect();
+  const GoldenFrames frames = session_golden_frames(*conn);
+  expect_golden(frames);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    // Frames run data.a2b, data.b2a, ctl.a2b, ctl.b2a; three of each.
+    SessionCrypto receiver(
+        conn->derive_session_keys(17, i < 6 ? "data" : "ctl"));
+    const int dir = static_cast<int>(i / 3) % 2;
+    util::Bytes plain;
+    for (std::size_t j = i - i % 3; j <= i; ++j) {
+      const util::Bytes& frame = frames[j].second;
+      ASSERT_TRUE(
+          receiver.unseal_into(dir, frame.data(), frame.size(), plain).ok())
+          << frames[j].first;
+    }
+    EXPECT_EQ(plain, golden_payload(static_cast<int>(i % 3) + 1));
+  }
+}
+
+// ------------------------------------------------------------ differential
 
 TEST(Differential, OldAndNewTransportsAgreeOnMailResults) {
   // Value-level differential: the same logical request served by the
@@ -541,6 +563,25 @@ TEST(Reactor, WheelScheduledHeartbeatsReplaceDriverThreads) {
   reactor.stop();
 }
 
+TEST(Reactor, WheelHeartbeatsStopWhenConnectionDies) {
+  TrunkWorld w;
+  auto conn = w.connect();
+  Reactor reactor({.workers = 1});
+  reactor.start();
+  auto handle = reactor.schedule_heartbeats(conn, 5ms);
+  ASSERT_TRUE(eventually([&] { return handle.beats() >= 1; }));
+  w.net.disconnect("client-host", "server-host");
+  // The next probe finds no route, closes the connection and ends the
+  // schedule.
+  ASSERT_TRUE(eventually([&] { return !handle.active(); }));
+  EXPECT_FALSE(conn->open());
+  EXPECT_NE(conn->close_reason().find("liveness"), std::string::npos);
+  const std::uint64_t at_death = handle.beats();
+  std::this_thread::sleep_for(30ms);
+  EXPECT_EQ(handle.beats(), at_death) << "a dead connection is not probed";
+  reactor.stop();
+}
+
 TEST(Reactor, ThreadCountStaysBoundedByWorkers) {
   // Sanitizer runtimes (TSan) lazily spawn a persistent helper thread on the
   // first pthread_create; force that before taking the baseline so the
@@ -555,8 +596,7 @@ TEST(Reactor, ThreadCountStaysBoundedByWorkers) {
   const int with_reactor = count_os_threads();
   EXPECT_EQ(with_reactor, base + 2) << "one OS thread per worker";
 
-  // 32 sessions + heartbeat monitoring: zero additional threads — the whole
-  // point of replacing thread-per-connection + HeartbeatDriver.
+  // 32 sessions + heartbeat monitoring: zero additional threads.
   std::vector<std::shared_ptr<EventChannel>> channels;
   for (int i = 0; i < 32; ++i) {
     auto pair = make_memory_conduit_pair();
@@ -582,15 +622,6 @@ TEST(Reactor, ThreadCountStaysBoundedByWorkers) {
   heartbeats.cancel();
   reactor.stop();
   EXPECT_LE(count_os_threads(), base) << "stop() joins the workers";
-}
-
-// ----------------------------------------------------------------- selector
-
-TEST(Transport, EnvSelector) {
-  EXPECT_STREQ(to_string(TransportKind::kEventLoop), "event");
-  EXPECT_STREQ(to_string(TransportKind::kThreadPerConnection), "threads");
-  // Default (unset or unknown) is the event core.
-  EXPECT_EQ(transport_from_env(), TransportKind::kEventLoop);
 }
 
 }  // namespace

@@ -226,17 +226,36 @@ TEST(Connection, TamperedFramesRejected) {
   frame[10] ^= 0x01;
   auto r = conn->unseal(Connection::End::kB, frame);
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, "frame");
+  EXPECT_EQ(r.error().code, "mac");
 }
 
 TEST(Connection, HeartbeatMeasuresRttAndCounts) {
   ChannelWorld w;
+  minilang::ClassRegistry registry;
+  mail::register_all(registry);
+  w.server_board.register_service("mail",
+                                  minilang::instantiate(registry, "MailServer"));
   auto conn = w.connect();
-  conn->heartbeat();
-  EXPECT_EQ(conn->stats().heartbeats, 2u);  // both directions
+  for (std::uint64_t n = 1; n <= 3; ++n) {
+    conn->heartbeat();
+    EXPECT_EQ(conn->stats().heartbeats, 2 * n) << "one probe per direction";
+  }
   // RTT = 2x link latency plus a little serialization time for the frame.
-  EXPECT_GE(conn->stats().last_rtt, 2 * 5 * kMillisecond);
-  EXPECT_LT(conn->stats().last_rtt, 2 * 6 * kMillisecond);
+  const util::SimTime heartbeat_rtt = conn->stats().last_heartbeat_rtt;
+  EXPECT_GT(heartbeat_rtt, 0);
+  EXPECT_GE(heartbeat_rtt, 2 * 5 * kMillisecond);
+  EXPECT_LT(heartbeat_rtt, 2 * 6 * kMillisecond);
+  EXPECT_EQ(conn->stats().last_rtt, heartbeat_rtt);
+
+  // An RPC over a slower link moves last_rtt, not last_heartbeat_rtt.
+  w.net.set_link("client-host", "server-host",
+                 {20 * kMillisecond, 10'000, false});
+  conn->call(Connection::End::kA, "mail", "registerAccount",
+             {Value::string("alice"), Value::string("555"),
+              Value::string("a@x")});
+  EXPECT_GE(conn->stats().last_rtt, 2 * 20 * kMillisecond);
+  EXPECT_EQ(conn->stats().last_heartbeat_rtt, heartbeat_rtt);
+  EXPECT_EQ(conn->stats().heartbeats, 6u) << "an RPC is not a heartbeat";
   EXPECT_TRUE(conn->open());
 }
 
