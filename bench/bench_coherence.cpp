@@ -2,7 +2,8 @@
 // acquireImage/releaseImage on every method (paper §4.3, following the
 // OOPSLA'99 object-views work); this bench quantifies that bracket by
 // policy (none / pull / push / pull+push) and by image size, plus the raw
-// extract/merge codec cost.
+// extract/merge codec cost and the heap bytes a Member view instance holds
+// before and after its first full sync.
 #include "bench_util.hpp"
 #include "mail/components.hpp"
 #include "minilang/interp.hpp"
@@ -51,6 +52,41 @@ struct Fixture {
 Fixture& fixture() {
   static Fixture f;
   return f;
+}
+
+/// Per-session view ledger: heap bytes (mallinfo2 deltas, averaged over
+/// 1000 instances) of one Member view wired to the original, before and
+/// after its first call pulls a full image. The difference is the replica
+/// image share of a session's memory.
+void view_ledger(Fixture& f, bench::Report& report) {
+  constexpr int kViews = 1000;
+  auto make_unsynced = [&f] {
+    auto view = minilang::instantiate(f.registry, "ViewMailClient_Member");
+    views::attach_cache_manager(view, Value::object(f.original),
+                                CacheManager::Policy::kPull);
+    return view;
+  };
+  // One view first, so one-time costs stay outside the measured window.
+  make_unsynced()->call("getPhone", {Value::string("alice")});
+  std::vector<std::shared_ptr<minilang::Instance>> views;
+  views.reserve(kViews);
+  const std::size_t base = bench::heap_in_use();
+  for (int i = 0; i < kViews; ++i) views.push_back(make_unsynced());
+  const std::size_t unsynced = bench::heap_in_use();
+  for (const auto& view : views) view->call("getPhone", {Value::string("alice")});
+  const std::size_t synced = bench::heap_in_use();
+  const auto per_view = [](std::size_t bytes) {
+    return static_cast<double>(bytes) / kViews;
+  };
+  report.add("member_view_bytes", per_view(unsynced - base), "bytes", kViews);
+  report.add("member_view_synced_bytes", per_view(synced - base), "bytes",
+             kViews);
+  report.add("replica_image_bytes", per_view(synced - unsynced), "bytes",
+             kViews);
+  std::cout << "  Member view instance: " << per_view(unsynced - base)
+            << " B before its first full sync, " << per_view(synced - base)
+            << " B after (replica image share "
+            << per_view(synced - unsynced) << " B)\n";
 }
 
 void reproduce() {
@@ -118,6 +154,7 @@ void reproduce() {
                iters);
   }
   f.set_state_size(0);
+  view_ledger(f, report);
   report.write();
 }
 

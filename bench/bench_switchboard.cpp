@@ -1,12 +1,18 @@
 // Claim C3 (paper §4.3): Switchboard connection costs — handshake (key
 // exchange + identity signatures + mutual authorization), per-call overhead
 // of the secure channel vs the plaintext rmi baseline, raw frame
-// seal/unseal throughput by payload size, heartbeat cost, and the latency
-// from credential revocation to AuthorizationMonitor notification.
+// seal/unseal throughput by payload size, heartbeat cost, the latency
+// from credential revocation to AuthorizationMonitor notification, and the
+// per-session bytes ledger of the event transport.
+#include <atomic>
+#include <future>
+#include <thread>
+
 #include "bench_util.hpp"
 #include "mail/components.hpp"
 #include "minilang/interp.hpp"
 #include "switchboard/channel.hpp"
+#include "switchboard/reactor.hpp"
 
 namespace {
 
@@ -69,6 +75,115 @@ struct Fixture {
 Fixture& fixture() {
   static Fixture f;
   return f;
+}
+
+/// Blocks until every worker has run all the tasks queued before this call.
+void quiesce(switchboard::Reactor& reactor) {
+  for (int w = 0; w < reactor.workers(); ++w) {
+    std::promise<void> done;
+    reactor.loop(w).post([&done] { done.set_value(); });
+    done.get_future().wait();
+  }
+}
+
+/// Per-session bytes ledger: heap bytes (mallinfo2 deltas) that one
+/// memory-conduit session pair — a client and a server EventChannel plus
+/// their conduit — holds after its handshake and one 64 B round trip, split
+/// by owner:
+///   conduit   the idle pipe pair, measured before any channel exists;
+///   buffers   read and write buffer capacity (EventChannel::Stats);
+///   crypto    the four SessionCryptos of a pair (data and control, each
+///             end), each after opening one frame, measured on their own;
+///   channel   the rest: channel objects less their embedded SessionCryptos,
+///             shared_ptr control blocks, callbacks, and any capacity the
+///             pipes kept.
+void session_ledger(Fixture& f, bench::Report& report) {
+  using switchboard::EventChannel;
+  constexpr int kPairs = 10000;
+  switchboard::Reactor reactor({.workers = 2});
+  reactor.start();
+  const auto trunk = f.conn;
+  const util::Bytes request(64, 0x42);
+  auto echo = [](const util::Bytes& in, util::Bytes& out) { out = in; };
+  std::atomic<int> answered{0};
+  auto run_pairs = [&](std::vector<switchboard::ConduitPair>& conduits,
+                       std::vector<std::shared_ptr<EventChannel>>& channels,
+                       std::uint64_t first_session) {
+    for (std::size_t i = 0; i < conduits.size(); ++i) {
+      const int worker = static_cast<int>(i % 2);
+      channels.push_back(reactor.serve(worker, std::move(conduits[i].b),
+                                       trunk, echo));
+      channels.push_back(reactor.open(worker, std::move(conduits[i].a), trunk,
+                                      first_session + i, "ledger"));
+      channels.back()->submit(request, [&answered](util::Result<util::Bytes>) {
+        answered.fetch_add(1);
+      });
+    }
+  };
+
+  // A first pair pays the one-time costs (metric registration, each loop's
+  // read scratch) outside the measured window.
+  std::vector<switchboard::ConduitPair> warm(1);
+  warm[0] = switchboard::make_memory_conduit_pair();
+  std::vector<std::shared_ptr<EventChannel>> warm_channels;
+  run_pairs(warm, warm_channels, 1);
+  while (answered.load() < 1) std::this_thread::yield();
+  quiesce(reactor);
+
+  std::vector<switchboard::ConduitPair> conduits(kPairs);
+  std::vector<std::shared_ptr<EventChannel>> channels;
+  channels.reserve(2 * kPairs);
+  const std::size_t base = bench::heap_in_use();
+  for (auto& pair : conduits) pair = switchboard::make_memory_conduit_pair();
+  const std::size_t with_conduits = bench::heap_in_use();
+  run_pairs(conduits, channels, 1000);
+  while (answered.load() < 1 + kPairs) std::this_thread::yield();
+  quiesce(reactor);
+  const std::size_t with_channels = bench::heap_in_use();
+  std::uint64_t buffered = 0;
+  for (const auto& channel : channels) {
+    buffered += channel->stats().buffered_capacity;
+  }
+  reactor.stop();
+
+  std::vector<std::unique_ptr<switchboard::SessionCrypto>> cryptos;
+  cryptos.reserve(4 * kPairs);
+  const auto material = trunk->derive_session_keys(1, "data");
+  switchboard::SessionCrypto sender(material);
+  util::Bytes frames[2], plain;
+  for (int dir = 0; dir < 2; ++dir) {
+    sender.seal_into(dir, request.data(), request.size(), frames[dir]);
+  }
+  const std::size_t before_crypto = bench::heap_in_use();
+  for (int i = 0; i < 4 * kPairs; ++i) {
+    cryptos.push_back(std::make_unique<switchboard::SessionCrypto>(material));
+    const util::Bytes& frame = frames[i % 2];
+    (void)cryptos.back()->unseal_into(i % 2, frame.data(), frame.size(),
+                                      plain);
+  }
+  const std::size_t after_crypto = bench::heap_in_use();
+
+  const auto per_pair = [](std::size_t bytes) {
+    return static_cast<double>(bytes) / kPairs;
+  };
+  const double total = per_pair(with_channels - base);
+  const double conduit = per_pair(with_conduits - base);
+  const double buffers = per_pair(buffered);
+  const double crypto = per_pair(after_crypto - before_crypto);
+  const double channel = total - conduit - buffers - crypto;
+  report.add("session_pair_bytes", total, "bytes", kPairs);
+  report.add("session_pair.conduit_bytes", conduit, "bytes", kPairs);
+  report.add("session_pair.buffer_bytes", buffers, "bytes", kPairs);
+  report.add("session_pair.crypto_bytes", crypto, "bytes", kPairs);
+  report.add("session_pair.channel_bytes", channel, "bytes", kPairs);
+  report.add("sizeof_event_channel", sizeof(EventChannel), "bytes");
+  report.add("sizeof_session_crypto", sizeof(switchboard::SessionCrypto),
+             "bytes");
+  std::cout << "  per-session ledger (" << kPairs
+            << " memory-conduit pairs, handshake + one round trip): "
+            << total << " B/pair = conduit " << conduit << " + buffers "
+            << buffers << " + SessionCrypto " << crypto << " + channel "
+            << channel << "\n";
 }
 
 void reproduce() {
@@ -144,6 +259,7 @@ void reproduce() {
   if (secure_us > 0 && rmi_us > 0) {
     report.derived("secure_over_rmi", secure_us / rmi_us);
   }
+  session_ledger(f, report);
   report.write();
   std::cout << "  call path: secure=" << secure_us << " us, rmi=" << rmi_us
             << " us, heartbeat=" << hb_us << " us\n";

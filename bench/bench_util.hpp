@@ -13,6 +13,7 @@
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -48,6 +49,17 @@ inline double time_us(int iters, const std::function<void()>& fn) {
              elapsed)
              .count() /
          static_cast<double>(iters);
+}
+
+/// Heap bytes in use, summed over every malloc arena (glibc mallinfo2), so
+/// allocations made on worker threads count too. Memory ledgers take deltas
+/// of it; operator new is left alone so timings stay unperturbed.
+inline std::size_t heap_in_use() {
+#if defined(__GLIBC__)
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
 }
 
 /// Accumulates named measurements and writes `BENCH_<id>.json`. Every

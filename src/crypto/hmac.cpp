@@ -16,9 +16,8 @@ HmacSha256::HmacSha256(const util::Bytes& key) {
     inner_pad[i] = k[i] ^ 0x36;
     outer_pad[i] = k[i] ^ 0x5c;
   }
-  inner_seed_.update(inner_pad, kBlock);
+  inner_.update(inner_pad, kBlock);
   outer_seed_.update(outer_pad, kBlock);
-  inner_ = inner_seed_;
 }
 
 Digest256 HmacSha256::final() {

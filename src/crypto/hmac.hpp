@@ -6,7 +6,9 @@
 // schedule (pad derivation + the two pad compression blocks) is done once at
 // construction, and each MAC afterwards only costs the message blocks plus
 // one finalization block — callers keep a keyed seed object per direction
-// and copy it per frame (a small, allocation-free struct copy).
+// and copy it per frame (a small, allocation-free struct copy). A keyed seed
+// is never finished itself, so its running inner hash doubles as the inner
+// pad midstate and one object holds just two SHA-256 states.
 #pragma once
 
 #include "crypto/sha256.hpp"
@@ -28,19 +30,16 @@ class HmacSha256 {
   }
   void update(const util::Bytes& data) { update(data.data(), data.size()); }
 
-  /// Finish the MAC. The object is reusable after reset().
+  /// Finish the MAC. The object must not be updated or finished afterwards;
+  /// MAC the next message from a fresh copy of the keyed seed.
   Digest256 final();
 
   /// Write the 32-byte MAC directly at `out` (e.g. into a frame tail).
   void final_into(std::uint8_t* out);
 
-  /// Rewind to the post-key state so the same object can MAC another message.
-  void reset() { inner_ = inner_seed_; }
-
  private:
-  Sha256 inner_seed_;  // midstate after the ipad block
   Sha256 outer_seed_;  // midstate after the opad block
-  Sha256 inner_;       // running inner hash
+  Sha256 inner_;       // running inner hash; the ipad midstate while unused
 };
 
 Digest256 hmac_sha256(const util::Bytes& key, const util::Bytes& message);

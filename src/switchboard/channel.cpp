@@ -169,7 +169,9 @@ util::Result<std::size_t> SessionCrypto::unseal_into(int dir,
                                                      util::Bytes& plain) {
   auto opened = open_frame(keys_, dir, frame, len, plain);
   if (!opened.ok()) return opened.error();
-  if (!recv_window_[dir].check_and_insert(opened.value())) {
+  std::unique_ptr<ReplayWindow>& window = recv_window_[dir];
+  if (!window) window = std::make_unique<ReplayWindow>();
+  if (!window->check_and_insert(opened.value())) {
     return replay_rejected(opened.value(), dir, plain);
   }
   return plain.size();

@@ -76,8 +76,9 @@ struct FrameKeys {
 
 /// Per-session framing state for the event transport (reactor.hpp): the
 /// codec keyed by derived session material, a plain send counter and an
-/// unlocked replay window. Owned by exactly one EventChannel and only
-/// touched from its loop thread, so unlike the trunk it needs no locks.
+/// unlocked replay window per direction. Owned by exactly one EventChannel
+/// and only touched from its loop thread, so unlike the trunk it needs no
+/// locks.
 class SessionCrypto {
  public:
   SessionCrypto() = default;
@@ -96,7 +97,10 @@ class SessionCrypto {
  private:
   FrameKeys keys_;
   std::uint64_t send_seq_[2] = {0, 0};
-  ReplayWindow recv_window_[2];
+  // Created when its direction first opens a frame that passes the MAC: an
+  // EventChannel opens frames in one direction only, so the other window
+  // never exists.
+  std::unique_ptr<ReplayWindow> recv_window_[2];
 };
 
 class Connection;

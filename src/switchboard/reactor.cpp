@@ -1,5 +1,6 @@
 #include "switchboard/reactor.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +33,18 @@ constexpr std::uint8_t kPong = 5;
 // out in the tens of kilobytes.
 constexpr std::size_t kMaxMessage = 16u << 20;
 
+// Bytes one conduit read asks for.
+constexpr std::size_t kReadChunk = 16u << 10;
+
+/// Frees `buffer`'s storage, not just its contents.
+void release(util::Bytes& buffer) { util::Bytes().swap(buffer); }
+
+/// Body length of the message whose u32_be length prefix starts at `p`.
+std::size_t body_length(const std::uint8_t* p) {
+  return (std::size_t{p[0]} << 24) | (std::size_t{p[1]} << 16) |
+         (std::size_t{p[2]} << 8) | std::size_t{p[3]};
+}
+
 struct ReactorMetrics {
   static ReactorMetrics& get() {
     static ReactorMetrics metrics;
@@ -58,6 +71,46 @@ int env_int(const char* name, int fallback) {
 }
 
 }  // namespace
+
+/// The loop thread's dispatch scratch: every channel on the worker reads its
+/// conduit into `chunk()`, opens frames into `plain()` and builds answers in
+/// `response()`. Dispatch can nest — a callback that opens a channel on the
+/// same loop runs register_with_loop, and so on_readable, inline — so each
+/// nesting depth leases its own set, and an outer dispatch never has its
+/// unparsed bytes or the request its handler is reading overwritten.
+class EventChannel::Scratch {
+ public:
+  Scratch() : depth_(depth()++) {
+    auto& sets = pool();
+    if (sets.size() == depth_) sets.push_back(std::make_unique<Set>());
+    set_ = sets[depth_].get();
+  }
+  ~Scratch() { --depth(); }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  std::uint8_t* chunk() const { return set_->chunk.get(); }
+  util::Bytes& plain() { return set_->plain; }
+  util::Bytes& response() { return set_->response; }
+
+ private:
+  struct Set {
+    std::unique_ptr<std::uint8_t[]> chunk{new std::uint8_t[kReadChunk]};
+    util::Bytes plain;
+    util::Bytes response;
+  };
+  static std::size_t& depth() {
+    thread_local std::size_t depth = 0;
+    return depth;
+  }
+  static std::vector<std::unique_ptr<Set>>& pool() {
+    thread_local std::vector<std::unique_ptr<Set>> sets;
+    return sets;
+  }
+
+  std::size_t depth_;
+  Set* set_;
+};
 
 // ------------------------------------------------------------------ conduits
 
@@ -144,7 +197,7 @@ class MemoryConduit final : public Conduit {
       std::memcpy(buf, in_->buf.data() + in_->head, n);
       in_->head += n;
       if (in_->head == in_->buf.size()) {
-        in_->buf.clear();
+        release(in_->buf);
         in_->head = 0;
       } else if (in_->head > (64u << 10)) {
         in_->buf.erase(in_->buf.begin(),
@@ -313,6 +366,12 @@ void EventChannel::append_message(std::uint8_t type, const std::uint8_t* frame,
   // u32_be length | u8 type | [u64_be session_id] | sealed frame
   const bool with_session = type == kHello || type == kWelcome;
   const std::size_t body = 1 + (with_session ? 8 : 0) + len;
+  // The buffer starts empty after every flush: size it once per message
+  // rather than growing it field by field.
+  const std::size_t needed = write_buf_.size() + 4 + body;
+  if (write_buf_.capacity() < needed) {
+    write_buf_.reserve(std::max(needed, 2 * write_buf_.capacity()));
+  }
   util::put_u32_be(write_buf_, static_cast<std::uint32_t>(body));
   write_buf_.push_back(type);
   if (with_session) util::put_u64_be(write_buf_, session_id_);
@@ -324,80 +383,137 @@ void EventChannel::append_message(std::uint8_t type, const std::uint8_t* frame,
 void EventChannel::on_readable() {
   loop_.assert_in_loop();
   if (state_.load() == State::kClosed) return;
-  // Drain the conduit into the read buffer (bounded chunks, until
-  // would-block), then parse and dispatch complete messages as one batch.
-  constexpr std::size_t kChunk = 16u << 10;
-  for (;;) {
-    const std::size_t old = read_buf_.size();
-    read_buf_.resize(old + kChunk);
-    const std::size_t n = conduit_->read_some(read_buf_.data() + old, kChunk);
-    read_buf_.resize(old + n);
-    if (n == 0) break;
-    bytes_in_.fetch_add(n, std::memory_order_relaxed);
-    ReactorMetrics::get().session_bytes.inc(n);
-  }
-  {
-    // One span per dispatch batch (not per frame): unseal + parse + handler
-    // all run inside it, so sampling profiles attribute event-core CPU to
-    // switchboard.dispatch rather than to a bare loop-thread root.
-    obs::ScopedSpan span("switchboard.dispatch");
-    process_read_buffer();
-  }
-  if (state_.load() == State::kClosed) return;
-  flush();
-  if (conduit_->peer_closed() && read_buf_.size() == read_pos_) {
-    close_on_loop(state_.load() == State::kDraining ? "drained" : "peer eof");
-  }
-}
-
-void EventChannel::process_read_buffer() {
   std::size_t handled = 0;
-  while (handled < max_batch_frames_) {
-    const std::size_t avail = read_buf_.size() - read_pos_;
-    if (avail < 4) break;
-    const std::uint32_t body_len = util::get_u32_be(read_buf_, read_pos_);
-    if (body_len == 0 || body_len > kMaxMessage) {
-      close_on_loop("corrupt length prefix");
-      return;
-    }
-    if (avail < 4 + static_cast<std::size_t>(body_len)) break;
-    const std::uint8_t* body = read_buf_.data() + read_pos_ + 4;
-    read_pos_ += 4 + body_len;
-    ++handled;
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (!handle_message(body[0], body + 1, body_len - 1)) return;
+  {
+    // One span per dispatch batch (not per frame): reads, unseal, parse and
+    // handler all run inside it, so sampling profiles attribute event-core
+    // CPU to switchboard.dispatch rather than to a bare loop-thread root.
+    obs::ScopedSpan span("switchboard.dispatch");
+    Scratch scratch;
+    read_and_dispatch(scratch, handled);
   }
-  // Compact consumed prefix once per batch, not per frame.
-  if (read_pos_ == read_buf_.size()) {
-    read_buf_.clear();
-    read_pos_ = 0;
-  } else if (read_pos_ > (256u << 10)) {
-    read_buf_.erase(read_buf_.begin(),
-                    read_buf_.begin() + static_cast<std::ptrdiff_t>(read_pos_));
-    read_pos_ = 0;
-  }
-  if (handled > 0) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t prev = max_batch_.load(std::memory_order_relaxed);
-    while (handled > prev &&
-           !max_batch_.compare_exchange_weak(prev, handled)) {
-    }
-    ReactorMetrics::get().batch_frames.observe(
-        static_cast<std::int64_t>(handled));
-  }
-  // Frames beyond the batch bound stay buffered; re-arm fairness by
-  // yielding the loop and continuing in a fresh dispatch.
-  if (handled == max_batch_frames_ && read_buf_.size() - read_pos_ >= 4) {
+  note_batch(handled);
+  if (state_.load() != State::kClosed) flush();
+  if (state_.load() == State::kClosed) {
+    release(read_buf_);
+  } else if (handled == max_batch_frames_) {
+    // The bound cut this dispatch short and frames may wait in read_buf_ or
+    // the conduit: yield the loop and continue in a fresh dispatch.
     std::weak_ptr<EventChannel> weak = weak_from_this();
     loop_.post([weak] {
       if (auto self = weak.lock()) self->on_readable();
     });
+  } else if (conduit_->peer_closed()) {
+    close_on_loop(!read_buf_.empty()                   ? "peer eof mid-frame"
+                  : state_.load() == State::kDraining ? "drained"
+                                                       : "peer eof");
+    release(read_buf_);
+  }
+  note_buffers();
+}
+
+void EventChannel::read_and_dispatch(Scratch& scratch,
+                                     std::size_t& handled) {
+  // Frames an earlier dispatch left behind go first. Once they are
+  // dispatched (and the bound is not hit), read_buf_ holds at most a
+  // partial frame.
+  if (!read_buf_.empty()) {
+    const std::size_t used =
+        dispatch_frames(scratch, read_buf_.data(), read_buf_.size(), handled);
+    if (state_.load() == State::kClosed) return;
+    if (used == read_buf_.size()) {
+      release(read_buf_);
+    } else if (used > 0) {
+      read_buf_.erase(read_buf_.begin(),
+                      read_buf_.begin() + static_cast<std::ptrdiff_t>(used));
+    }
+  }
+  while (handled < max_batch_frames_) {
+    const std::size_t n = conduit_->read_some(scratch.chunk(), kReadChunk);
+    if (n == 0) return;
+    bytes_in_.fetch_add(n, std::memory_order_relaxed);
+    ReactorMetrics::get().session_bytes.inc(n);
+    const std::uint8_t* data = scratch.chunk();
+    std::size_t len = n;
+    if (!read_buf_.empty()) {
+      // Complete the carried partial frame from the front of the chunk.
+      const std::size_t taken = top_up_partial_frame(data, len);
+      data += taken;
+      len -= taken;
+      if (dispatch_frames(scratch, read_buf_.data(), read_buf_.size(),
+                          handled) == 0) {
+        if (state_.load() == State::kClosed) return;
+        continue;  // still partial: the whole chunk went into read_buf_
+      }
+      if (state_.load() == State::kClosed) return;
+      release(read_buf_);
+    }
+    const std::size_t used = dispatch_frames(scratch, data, len, handled);
+    if (state_.load() == State::kClosed) return;
+    // A partial frame, or frames beyond the bound, wait in read_buf_.
+    if (used < len) read_buf_.assign(data + used, data + len);
   }
 }
 
-bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
-                                  std::size_t len) {
-  thread_local util::Bytes plain;
+std::size_t EventChannel::dispatch_frames(Scratch& scratch,
+                                          const std::uint8_t* data,
+                                          std::size_t len,
+                                          std::size_t& handled) {
+  std::size_t pos = 0;
+  while (handled < max_batch_frames_ && len - pos >= 4) {
+    const std::size_t body_len = body_length(data + pos);
+    if (body_len == 0 || body_len > kMaxMessage) {
+      close_on_loop("corrupt length prefix");
+      return pos;
+    }
+    if (len - pos - 4 < body_len) break;
+    const std::uint8_t* body = data + pos + 4;
+    pos += 4 + body_len;
+    ++handled;
+    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    if (!handle_message(scratch, body[0], body + 1, body_len - 1) ||
+        state_.load() == State::kClosed) {
+      return pos;
+    }
+  }
+  return pos;
+}
+
+std::size_t EventChannel::top_up_partial_frame(const std::uint8_t* data,
+                                               std::size_t len) {
+  std::size_t taken = 0;
+  if (read_buf_.size() < 4) {
+    taken = std::min(len, 4 - read_buf_.size());
+    read_buf_.insert(read_buf_.end(), data, data + taken);
+    if (read_buf_.size() < 4) return taken;
+  }
+  const std::size_t body_len = body_length(read_buf_.data());
+  // A corrupt prefix takes nothing more; dispatch_frames rejects it.
+  if (body_len == 0 || body_len > kMaxMessage) return taken;
+  const std::size_t missing = 4 + body_len - read_buf_.size();
+  const std::size_t more = std::min(len - taken, missing);
+  read_buf_.insert(read_buf_.end(), data + taken, data + taken + more);
+  return taken + more;
+}
+
+void EventChannel::note_batch(std::size_t handled) {
+  if (handled == 0) return;
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t prev = max_batch_.load(std::memory_order_relaxed);
+  while (handled > prev && !max_batch_.compare_exchange_weak(prev, handled)) {
+  }
+  ReactorMetrics::get().batch_frames.observe(
+      static_cast<std::int64_t>(handled));
+}
+
+void EventChannel::note_buffers() {
+  buffered_capacity_.store(read_buf_.capacity() + write_buf_.capacity(),
+                           std::memory_order_relaxed);
+}
+
+bool EventChannel::handle_message(Scratch& scratch, std::uint8_t type,
+                                  const std::uint8_t* body, std::size_t len) {
+  util::Bytes& plain = scratch.plain();
   switch (type) {
     case kHello: {
       if (role_ != Role::kServer || state_.load() != State::kHandshaking) {
@@ -444,10 +560,10 @@ bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
       }
       state_.store(State::kEstablished);
       for (auto& [request, callback] : queued_submits_) {
-        pending_.push_back(std::move(callback));
+        pending_.push(std::move(callback));
         send_data_frame(request);
       }
-      queued_submits_.clear();
+      queued_submits_ = {};
       if (established_callback_) established_callback_();
       return true;
     }
@@ -463,7 +579,7 @@ bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
         return false;
       }
       if (role_ == Role::kServer) {
-        thread_local util::Bytes response;
+        util::Bytes& response = scratch.response();
         response.clear();
         handler_(plain, response);
         send_data_frame(response);
@@ -472,8 +588,7 @@ bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
           close_on_loop("unsolicited response");
           return false;
         }
-        ResponseCallback callback = std::move(pending_.front());
-        pending_.pop_front();
+        ResponseCallback callback = pending_.pop();
         callback(util::Result<util::Bytes>(util::Bytes(plain)));
       }
       return true;
@@ -514,7 +629,7 @@ void EventChannel::submit(util::Bytes request_plain,
         self->queued_submits_.emplace_back(std::move(request), std::move(cb));
         break;
       case State::kEstablished:
-        self->pending_.push_back(std::move(cb));
+        self->pending_.push(std::move(cb));
         self->send_data_frame(request);
         self->flush();
         break;
@@ -565,14 +680,16 @@ void EventChannel::flush() {
         loop_.mod_fd(conduit_->fd(), true, true);
         want_write_armed_ = true;
       }
+      note_buffers();
       return;
     }
     write_pos_ += n;
     bytes_out_.fetch_add(n, std::memory_order_relaxed);
     ReactorMetrics::get().session_bytes.inc(n);
   }
-  write_buf_.clear();
+  release(write_buf_);
   write_pos_ = 0;
+  note_buffers();
   if (want_write_armed_) {
     loop_.mod_fd(conduit_->fd(), true, false);
     want_write_armed_ = false;
@@ -591,10 +708,9 @@ void EventChannel::fail_pending(const std::string& reason) {
     (void)request;
     callback(util::Result<util::Bytes>::failure("closed", reason));
   }
-  queued_submits_.clear();
+  queued_submits_ = {};
   while (!pending_.empty()) {
-    ResponseCallback callback = std::move(pending_.front());
-    pending_.pop_front();
+    ResponseCallback callback = pending_.pop();
     callback(util::Result<util::Bytes>::failure("closed", reason));
   }
 }
@@ -602,9 +718,14 @@ void EventChannel::fail_pending(const std::string& reason) {
 void EventChannel::close_on_loop(const std::string& reason) {
   loop_.assert_in_loop();
   if (state_.load() == State::kClosed) return;
+  close_reason_ = reason;
   state_.store(State::kClosed);
   if (conduit_->fd() >= 0) loop_.del_fd(conduit_->fd());
   conduit_->close();
+  // read_buf_ may be mid-dispatch here; on_readable frees it on exit.
+  release(write_buf_);
+  write_pos_ = 0;
+  note_buffers();
   fail_pending(reason);
   ReactorMetrics::get().sessions_closed.inc();
 }
@@ -617,7 +738,12 @@ EventChannel::Stats EventChannel::stats() const {
   stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.max_batch = max_batch_.load(std::memory_order_relaxed);
+  stats.buffered_capacity = buffered_capacity_.load(std::memory_order_relaxed);
   return stats;
+}
+
+std::string EventChannel::close_reason() const {
+  return state_.load() == State::kClosed ? close_reason_ : std::string();
 }
 
 void EventChannel::set_established_callback(std::function<void()> fn) {

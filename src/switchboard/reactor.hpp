@@ -14,8 +14,8 @@
 // handshake is paid once per trunk, while every session keeps its own
 // per-direction ChaCha20/HMAC keys, sequence space, and anti-replay window.
 // Sessions and the trunk share one frame codec (channel.hpp: seq8 |
-// ciphertext | hmac32); scratch buffers are per loop thread and reused
-// across every channel on that worker.
+// ciphertext | hmac32); seal and read scratch buffers are per loop thread
+// and reused across every channel on that worker.
 //
 // Connection state machine (one EventChannel per end):
 //
@@ -25,17 +25,25 @@
 //                                                                      │
 //                                                                   kClosed
 //
-// Batching rules: one readiness dispatch drains the conduit into the read
-// buffer (bounded by max_batch_frames), unseals and dispatches every
-// complete frame, seals all responses into one write buffer, and flushes
-// with a single write — so a burst of B requests costs O(1) syscalls/wakes,
-// not O(B).
+// Batching rules: one readiness dispatch reads the conduit in 16 KiB chunks
+// into the loop thread's read scratch and unseals and dispatches complete
+// frames straight out of it, until the conduit would block or
+// max_batch_frames frames were handled. Responses are sealed into the
+// channel's write buffer and flushed with a single write, so a burst of B
+// requests costs O(1) syscalls/wakes, not O(B). When the bound cuts a
+// dispatch short the channel yields the loop and continues in a fresh
+// dispatch; the bytes it already read wait in the channel's own read buffer.
+//
+// Per-session memory: an idle channel holds no byte buffers. The read
+// buffer keeps only a partial frame or frames left over by the batch bound;
+// the write buffer keeps a batch's sealed messages until its flush, and
+// after it only bytes the conduit refused. Both are freed as soon as they
+// drain, and a memory pipe frees its buffer once the reader has drained it.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -96,10 +104,38 @@ struct ConduitPair {
 /// unique_ptrs when the fd budget is exhausted.
 ConduitPair make_socket_conduit_pair();
 
-/// In-process ring pipe; never blocks, grows on demand.
+/// In-process pipe; never blocks. Each direction buffers only the bytes
+/// its reader has not yet taken, and frees that buffer once drained.
 ConduitPair make_memory_conduit_pair();
 
 // ------------------------------------------------------------- EventChannel
+
+/// FIFO over a vector and a read cursor. Unlike std::deque (which allocates
+/// a map and a node even while empty) it allocates nothing until the first
+/// push, and frees its storage each time it drains.
+template <typename T>
+class DrainingFifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  void push(T item) { items_.push_back(std::move(item)); }
+  T pop() {
+    T item = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      std::vector<T>().swap(items_);
+      head_ = 0;
+    } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+      // Never empty under steady pipelining: drop the consumed prefix.
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return item;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
 
 /// Per-session connection state machine living on one EventLoop worker.
 /// All mutation happens on the loop thread; the public API posts.
@@ -124,6 +160,9 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
     std::uint64_t bytes_out = 0;
     std::uint64_t batches = 0;      // readiness dispatches that moved data
     std::uint64_t max_batch = 0;    // most frames handled in one dispatch
+    // Bytes of read and write buffer capacity the channel holds; 0 while
+    // nothing is in flight.
+    std::uint64_t buffered_capacity = 0;
   };
 
   /// Build the server end. The channel registers with `loop` asynchronously;
@@ -160,6 +199,9 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   Role role() const { return role_; }
   std::uint64_t session_id() const { return session_id_; }
   const std::string& mailbox() const { return mailbox_; }
+  /// Why the channel closed ("peer eof", "frame mac", ...); "" until
+  /// state() reads kClosed.
+  std::string close_reason() const;
   Stats stats() const;
 
   /// Fired on the loop thread when the handshake completes (client only).
@@ -173,10 +215,16 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
 
   // Loop-thread internals.
   void register_with_loop();
+  class Scratch;  // the loop thread's per-dispatch buffers (reactor.cpp)
   void on_readable();
-  void process_read_buffer();
-  bool handle_message(std::uint8_t type, const std::uint8_t* body,
-                      std::size_t len);
+  void read_and_dispatch(Scratch& scratch, std::size_t& handled);
+  std::size_t dispatch_frames(Scratch& scratch, const std::uint8_t* data,
+                              std::size_t len, std::size_t& handled);
+  std::size_t top_up_partial_frame(const std::uint8_t* data, std::size_t len);
+  void note_batch(std::size_t handled);
+  void note_buffers();
+  bool handle_message(Scratch& scratch, std::uint8_t type,
+                      const std::uint8_t* body, std::size_t len);
   void derive_session_keys();
   void send_hello();
   void send_control(std::uint8_t type, const util::Bytes& plain);
@@ -202,15 +250,18 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   SessionCrypto control_;       // HELLO/WELCOME/PING framing
   std::atomic<State> state_{State::kHandshaking};
 
-  util::Bytes read_buf_;        // unparsed wire bytes (consumed from front)
-  std::size_t read_pos_ = 0;
-  util::Bytes write_buf_;       // sealed messages awaiting the conduit
+  // A partial frame, or whole frames the batch bound left for the next
+  // dispatch; empty (no capacity) otherwise.
+  util::Bytes read_buf_;
+  // Sealed messages the conduit has not yet accepted, from write_pos_ on.
+  util::Bytes write_buf_;
   std::size_t write_pos_ = 0;
+  std::string close_reason_;  // set once, before state_ turns kClosed
   bool want_write_armed_ = false;
   std::atomic<bool> notify_pending_{false};  // memory-conduit readiness edge
 
   RequestHandler handler_;                       // server role
-  std::deque<ResponseCallback> pending_;         // client role, FIFO matching
+  DrainingFifo<ResponseCallback> pending_;       // client role, FIFO matching
   std::vector<std::pair<util::Bytes, ResponseCallback>> queued_submits_;
   std::function<void()> established_callback_;
 
@@ -218,6 +269,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   std::atomic<std::uint64_t> frames_in_{0}, frames_out_{0};
   std::atomic<std::uint64_t> bytes_in_{0}, bytes_out_{0};
   std::atomic<std::uint64_t> batches_{0}, max_batch_{0};
+  std::atomic<std::uint64_t> buffered_capacity_{0};
 };
 
 // ------------------------------------------------------------------ reactor

@@ -84,6 +84,25 @@ TEST(Hmac, LongKeyIsHashedFirst) {
       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(Hmac, CopiedSeedMacsIndependently) {
+  // The frame codec keys one seed per direction and MACs every frame from a
+  // copy of it: copies must not share running state, and the seed itself
+  // must stay at the keyed midstate.
+  const Bytes key = to_bytes("session mac key");
+  const Bytes first = to_bytes("frame one");
+  const Bytes second(300, 0x5a);  // spans several SHA-256 blocks
+  const HmacSha256 seed(key);
+  HmacSha256 a = seed;
+  HmacSha256 b = seed;
+  a.update(first);
+  b.update(second);
+  EXPECT_EQ(hex_of(a.final()), hex_of(hmac_sha256(key, first)));
+  EXPECT_EQ(hex_of(b.final()), hex_of(hmac_sha256(key, second)));
+  HmacSha256 again = seed;
+  again.update(first);
+  EXPECT_EQ(hex_of(again.final()), hex_of(hmac_sha256(key, first)));
+}
+
 // --------------------------------------------------------------- ChaCha20
 
 TEST(ChaCha20, Rfc8439BlockVector) {

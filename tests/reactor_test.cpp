@@ -1,9 +1,10 @@
 // Reactor / EventChannel / sharded-mail tests: session key derivation,
 // golden sealed-frame vectors for the trunk and derived sessions, the
 // connection state machine over memory and socket conduits, draining
-// teardown, cross-worker shard routing, wheel-scheduled heartbeats, and a
-// value-level check that Connection::call and an EventChannel agree on mail
-// results.
+// teardown, the read path (split frames, batch continuations, re-entrant
+// dispatch, drained buffers, a hostile wire-stream fuzz), cross-worker shard
+// routing, wheel-scheduled heartbeats, and a value-level check that
+// Connection::call and an EventChannel agree on mail results.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "switchboard/channel.hpp"
 #include "switchboard/network.hpp"
 #include "switchboard/reactor.hpp"
+#include "util/rng.hpp"
 
 namespace psf::switchboard {
 namespace {
@@ -192,6 +194,41 @@ TEST(SessionCrypto, SealUnsealRoundTripAndReplayRejection) {
   EXPECT_FALSE(wrong_dir.ok());
 }
 
+TEST(SessionCrypto, DirectionsKeepIndependentReplayWindows) {
+  TrunkWorld w;
+  auto conn = w.connect();
+  SessionCrypto sender(conn->derive_session_keys(11, "data"));
+  SessionCrypto receiver(conn->derive_session_keys(11, "data"));
+  const util::Bytes plain = util::to_bytes("both ways");
+  // Each direction numbers its frames from 1, so both first frames carry
+  // seq 1; each opens once, in its own direction's window.
+  util::Bytes a2b, b2a, out;
+  sender.seal_into(0, plain.data(), plain.size(), a2b);
+  sender.seal_into(1, plain.data(), plain.size(), b2a);
+  ASSERT_TRUE(receiver.unseal_into(0, a2b.data(), a2b.size(), out).ok());
+  ASSERT_TRUE(receiver.unseal_into(1, b2a.data(), b2a.size(), out).ok());
+  for (const auto& [dir, frame] : {std::pair{0, &a2b}, std::pair{1, &b2a}}) {
+    auto replay = receiver.unseal_into(dir, frame->data(), frame->size(), out);
+    ASSERT_FALSE(replay.ok()) << "direction " << dir;
+    EXPECT_EQ(replay.error().code, "replay");
+    EXPECT_TRUE(out.empty());
+  }
+
+  // Slide direction 0 a full window ahead: its seq 2 turns stale, while
+  // direction 1's seq 2 is still fresh.
+  util::Bytes stale, frame;
+  sender.seal_into(0, plain.data(), plain.size(), stale);
+  for (std::uint64_t i = 0; i < ReplayWindow::kSize; ++i) {
+    sender.seal_into(0, plain.data(), plain.size(), frame);
+  }
+  ASSERT_TRUE(receiver.unseal_into(0, frame.data(), frame.size(), out).ok());
+  auto late = receiver.unseal_into(0, stale.data(), stale.size(), out);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.error().code, "replay");
+  sender.seal_into(1, plain.data(), plain.size(), frame);
+  EXPECT_TRUE(receiver.unseal_into(1, frame.data(), frame.size(), out).ok());
+}
+
 // ------------------------------------------------------------ state machine
 
 TEST(EventChannel, HandshakeAndRpcOverMemoryConduit) {
@@ -332,6 +369,363 @@ TEST(EventChannel, DrainingTeardown) {
   auto result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, "closed");
+  loop.stop();
+}
+
+// --------------------------------------------------------------- read path
+
+/// Test-only conduit that hands the channel 1..max_read bytes per read
+/// (seeded), so frames arrive split at arbitrary byte boundaries.
+class ChoppyConduit final : public Conduit {
+ public:
+  ChoppyConduit(std::unique_ptr<Conduit> inner, std::size_t max_read,
+                std::uint64_t seed)
+      : inner_(std::move(inner)), max_read_(max_read), rng_(seed) {}
+
+  std::size_t read_some(std::uint8_t* buf, std::size_t len) override {
+    const std::size_t cap = 1 + rng_.next_below(max_read_);
+    return inner_->read_some(buf, std::min(len, cap));
+  }
+  std::size_t write_some(const std::uint8_t* data, std::size_t len) override {
+    return inner_->write_some(data, len);
+  }
+  void close() override { inner_->close(); }
+  bool peer_closed() const override { return inner_->peer_closed(); }
+  void set_data_callback(std::function<void()> fn) override {
+    inner_->set_data_callback(std::move(fn));
+  }
+
+ private:
+  std::unique_ptr<Conduit> inner_;
+  std::size_t max_read_;
+  util::Rng rng_;  // loop thread only
+};
+
+void echo(const util::Bytes& request, util::Bytes& response) {
+  response = request;
+}
+
+/// Distinct request payloads of varied sizes (including empty).
+std::vector<util::Bytes> numbered_requests(int count, std::size_t stride) {
+  std::vector<util::Bytes> requests;
+  for (int i = 0; i < count; ++i) {
+    util::Bytes request(static_cast<std::size_t>(i) * stride % 997);
+    for (std::size_t j = 0; j < request.size(); ++j) {
+      request[j] = static_cast<std::uint8_t>(i * 7 + j);
+    }
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
+/// Submits every request in one loop task, so they leave the client as one
+/// pipelined burst, and returns the answers in arrival order (an error
+/// answer becomes "error: <message>").
+std::vector<util::Bytes> burst(EventLoop& loop,
+                               const std::shared_ptr<EventChannel>& client,
+                               std::vector<util::Bytes> requests) {
+  struct Answers {
+    std::vector<util::Bytes> got;
+    std::size_t expected = 0;
+    std::promise<void> done;
+  };
+  auto answers = std::make_shared<Answers>();
+  answers->expected = requests.size();
+  auto done = answers->done.get_future();
+  loop.run_on_loop([client, answers, requests = std::move(requests)] {
+    for (const auto& request : requests) {
+      client->submit(request, [answers](util::Result<util::Bytes> r) {
+        answers->got.push_back(
+            r.ok() ? r.value() : util::to_bytes("error: " + r.error().message));
+        if (answers->got.size() == answers->expected) {
+          answers->done.set_value();
+        }
+      });
+    }
+  });
+  if (done.wait_for(5s) != std::future_status::ready) {
+    ADD_FAILURE() << "burst timed out";
+    return {};
+  }
+  return answers->got;
+}
+
+// The wire protocol's message types, as the client end writes them.
+constexpr std::uint8_t kWireHello = 0;
+constexpr std::uint8_t kWireData = 2;
+
+/// One wire message: u32_be length | u8 type | [u64_be session id] | sealed.
+util::Bytes wire_message(std::uint8_t type, const util::Bytes& sealed,
+                         const std::uint64_t* session_id = nullptr) {
+  util::Bytes message;
+  util::put_u32_be(message, static_cast<std::uint32_t>(
+                                1 + (session_id ? 8 : 0) + sealed.size()));
+  message.push_back(type);
+  if (session_id) util::put_u64_be(message, *session_id);
+  message.insert(message.end(), sealed.begin(), sealed.end());
+  return message;
+}
+
+/// The HELLO a client opening `session_id` sends (control keys, A->B).
+util::Bytes hello_message(SessionCrypto& control, std::uint64_t session_id,
+                          const std::string& mailbox) {
+  const util::Bytes plain = util::to_bytes(mailbox);
+  util::Bytes sealed;
+  control.seal_into(0, plain.data(), plain.size(), sealed);
+  return wire_message(kWireHello, sealed, &session_id);
+}
+
+/// A client DATA message carrying `payload` (data keys, A->B).
+util::Bytes data_message(SessionCrypto& data, const util::Bytes& payload) {
+  util::Bytes sealed;
+  data.seal_into(0, payload.data(), payload.size(), sealed);
+  return wire_message(kWireData, sealed);
+}
+
+TEST(EventChannel, FramesSplitAtEveryByteBoundary) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  // With max_read 1 every read returns one byte, so every byte boundary of
+  // every frame (HELLO, WELCOME and DATA, both ways) is a split point. The
+  // larger caps mix splits with whole frames per read.
+  std::uint64_t session = 100;
+  for (const std::size_t max_read : {1, 2, 3, 7, 61}) {
+    auto pair = make_memory_conduit_pair();
+    auto server = EventChannel::serve(
+        loop,
+        std::make_unique<ChoppyConduit>(std::move(pair.b), max_read, session),
+        trunk, echo);
+    auto client = EventChannel::open(
+        loop,
+        std::make_unique<ChoppyConduit>(std::move(pair.a), max_read,
+                                        session + 1),
+        trunk, session, "split");
+    const auto requests = numbered_requests(20, 53);
+    EXPECT_EQ(burst(loop, client, requests), requests)
+        << "max_read " << max_read;
+    EXPECT_EQ(server->stats().frames_in, 21u) << "HELLO + 20 DATA frames";
+    EXPECT_EQ(server->state(), EventChannel::State::kEstablished);
+    session += 2;
+  }
+  loop.stop();
+}
+
+TEST(EventChannel, BurstBeyondBatchBoundSurvivesContinuation) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  auto pair = make_memory_conduit_pair();
+  auto server = EventChannel::serve(loop, std::move(pair.b), trunk, echo,
+                                    /*max_batch_frames=*/4);
+  auto client = EventChannel::open(loop, std::move(pair.a), trunk, 7, "erin",
+                                   /*max_batch_frames=*/4);
+  ASSERT_TRUE(eventually([&] {
+    return client->state() == EventChannel::State::kEstablished;
+  }));
+  const auto requests = numbered_requests(50, 31);
+  EXPECT_EQ(burst(loop, client, requests), requests)
+      << "every answer arrives, in order";
+  const auto stats = server->stats();
+  EXPECT_EQ(stats.max_batch, 4u) << "the bound caps each dispatch";
+  EXPECT_GE(stats.batches, 1u + 50u / 4u) << "HELLO + 50 frames, 4 at a time";
+  EXPECT_LE(client->stats().max_batch, 4u);
+  loop.stop();
+}
+
+TEST(EventChannel, ReentrantOpenFromCallbackKeepsFraming) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+
+  // The outer server's handler serves a nested channel on the same loop.
+  // A HELLO and four 1 KiB DATA frames already wait in the nested pipe, so
+  // serve() reads them inside this dispatch (register_with_loop runs
+  // on_readable inline) while the outer batch still has frames to parse.
+  std::unique_ptr<Conduit> nested_peer;
+  std::shared_ptr<EventChannel> nested_server;
+  std::vector<util::Bytes> nested_seen;
+  std::promise<void> nested_opened;
+  SessionCrypto nested_control(trunk->derive_session_keys(99, "ctl"));
+  SessionCrypto nested_data(trunk->derive_session_keys(99, "data"));
+  const auto nested_requests = numbered_requests(4, 1024);
+  bool first = true;
+  auto pair = make_memory_conduit_pair();
+  auto server = EventChannel::serve(
+      loop, std::move(pair.b), trunk,
+      [&](const util::Bytes& request, util::Bytes& response) {
+        response = request;
+        if (!first) return;
+        first = false;
+        auto nested = make_memory_conduit_pair();
+        util::Bytes wire = hello_message(nested_control, 99, "nested");
+        for (const auto& payload : nested_requests) {
+          const util::Bytes message = data_message(nested_data, payload);
+          wire.insert(wire.end(), message.begin(), message.end());
+        }
+        nested.a->write_some(wire.data(), wire.size());
+        nested_peer = std::move(nested.a);
+        nested_server = EventChannel::serve(
+            loop, std::move(nested.b), trunk,
+            [&nested_seen](const util::Bytes& req, util::Bytes& resp) {
+              nested_seen.push_back(req);
+              resp = req;
+            });
+        nested_opened.set_value();
+      });
+  auto client = EventChannel::open(loop, std::move(pair.a), trunk, 98, "outer");
+  ASSERT_TRUE(eventually([&] {
+    return client->state() == EventChannel::State::kEstablished;
+  }));
+  const auto requests = numbered_requests(8, 211);
+  EXPECT_EQ(burst(loop, client, requests), requests)
+      << "the outer batch must keep parsing its own bytes";
+  EXPECT_EQ(server->stats().max_batch, 8u)
+      << "all eight frames were parsed in the one dispatch that re-entered";
+  ASSERT_EQ(nested_opened.get_future().wait_for(5s),
+            std::future_status::ready);
+  EXPECT_EQ(nested_server->state(), EventChannel::State::kEstablished);
+  EXPECT_EQ(nested_seen, nested_requests);
+  EXPECT_EQ(client->state(), EventChannel::State::kEstablished);
+  loop.stop();
+}
+
+TEST(EventChannel, DrainedChannelHoldsNoBuffers) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  auto pair = make_memory_conduit_pair();
+  auto server = EventChannel::serve(loop, std::move(pair.b), trunk, echo);
+  auto client = EventChannel::open(loop, std::move(pair.a), trunk, 8, "frank");
+  std::vector<util::Bytes> requests(50, util::Bytes(1024, 0x42));
+  EXPECT_EQ(burst(loop, client, requests), requests);
+  EXPECT_GT(server->stats().bytes_in, 50u * 1024u);
+  EXPECT_TRUE(eventually([&] {
+    return client->stats().buffered_capacity == 0 &&
+           server->stats().buffered_capacity == 0;
+  })) << "client " << client->stats().buffered_capacity << " B, server "
+      << server->stats().buffered_capacity << " B still buffered";
+  loop.stop();
+}
+
+TEST(EventChannel, HostileWireStreamClosesWithReason) {
+  // A seeded mutator corrupts one message of a well-formed client stream,
+  // which is then fed to a server channel in random chunks. Whatever the
+  // mutation, the channel must close with a reason, and exactly the DATA
+  // frames before the corruption must reach the handler, once each.
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  enum Mutation {
+    kNone,
+    kTruncate,
+    kFlipByte,
+    kZeroLength,
+    kHugeLength,
+    kUnknownType,
+    kDuplicate,
+    kMutations
+  };
+  util::Rng rng(20261017);
+  for (int round = 0; round < 300; ++round) {
+    const std::uint64_t session = 1000 + static_cast<std::uint64_t>(round);
+    SessionCrypto control(trunk->derive_session_keys(session, "ctl"));
+    SessionCrypto data(trunk->derive_session_keys(session, "data"));
+    std::vector<util::Bytes> messages{hello_message(control, session, "fuzz")};
+    const int frames = 1 + static_cast<int>(rng.next_below(10));
+    for (int i = 0; i < frames; ++i) {
+      util::Bytes payload = rng.next_bytes(rng.next_below(200));
+      payload.insert(payload.begin(), static_cast<std::uint8_t>(i));
+      messages.push_back(data_message(data, payload));
+    }
+
+    const auto mutation = static_cast<Mutation>(rng.next_below(kMutations));
+    const std::size_t victim = rng.next_below(messages.size());
+    util::Bytes stream;
+    for (std::size_t m = 0; m < messages.size(); ++m) {
+      util::Bytes message = messages[m];
+      if (m == victim) {
+        switch (mutation) {
+          case kTruncate:
+            message.resize(rng.next_below(message.size()));
+            break;
+          case kFlipByte:
+            message[rng.next_below(message.size())] ^=
+                static_cast<std::uint8_t>(1 + rng.next_below(255));
+            break;
+          case kZeroLength:
+            std::fill(message.begin(), message.begin() + 4, 0);
+            break;
+          case kHugeLength: {
+            util::Bytes prefix;
+            util::put_u32_be(prefix, static_cast<std::uint32_t>(
+                                         (16u << 20) + 1 +
+                                         rng.next_below(1u << 20)));
+            std::copy(prefix.begin(), prefix.end(), message.begin());
+            break;
+          }
+          case kUnknownType:
+            message[4] = static_cast<std::uint8_t>(6 + rng.next_below(250));
+            break;
+          case kDuplicate:
+            stream.insert(stream.end(), message.begin(), message.end());
+            break;
+          case kNone:
+          case kMutations:
+            break;
+        }
+      }
+      stream.insert(stream.end(), message.begin(), message.end());
+      if (m == victim && mutation == kTruncate) break;
+    }
+    // DATA frames (messages 1..) wholly before the corruption; a duplicate
+    // corrupts only its second copy.
+    const std::size_t intact = mutation == kNone        ? messages.size() - 1
+                               : mutation == kDuplicate ? victim
+                               : victim == 0            ? 0
+                                                        : victim - 1;
+
+    struct Seen {
+      std::vector<int> frames;
+    };
+    auto seen = std::make_shared<Seen>();
+    auto pair = make_memory_conduit_pair();
+    auto server = EventChannel::serve(
+        loop,
+        std::make_unique<ChoppyConduit>(std::move(pair.b),
+                                        1 + rng.next_below(32),
+                                        rng.next_u64()),
+        trunk,
+        [seen](const util::Bytes& request, util::Bytes& response) {
+          seen->frames.push_back(request.empty() ? -1 : request[0]);
+          response = util::to_bytes("ok");
+        },
+        /*max_batch_frames=*/1 + rng.next_below(4));
+    for (std::size_t pos = 0; pos < stream.size();) {
+      const std::size_t chunk =
+          std::min<std::size_t>(1 + rng.next_below(64), stream.size() - pos);
+      pair.a->write_some(stream.data() + pos, chunk);
+      pos += chunk;
+    }
+    pair.a->close();
+
+    ASSERT_TRUE(eventually([&] {
+      return server->state() == EventChannel::State::kClosed;
+    })) << "round " << round << " mutation " << mutation;
+    EXPECT_FALSE(server->close_reason().empty()) << "round " << round;
+    std::vector<int> expected;
+    for (std::size_t i = 0; i < intact; ++i) {
+      expected.push_back(static_cast<int>(i));
+    }
+    EXPECT_EQ(seen->frames, expected)
+        << "round " << round << " mutation " << mutation << " victim "
+        << victim << " closed: " << server->close_reason();
+  }
   loop.stop();
 }
 
