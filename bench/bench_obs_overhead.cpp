@@ -3,10 +3,8 @@
 // measures that directly and writes BENCH_obs_overhead.json so every later
 // PR can check the instrumentation has not crept into the fast paths.
 //
-// "Compiled out" is approximated at runtime by journal::set_enabled(false):
-// the real PSF_OBS_NO_JOURNAL compile gate removes the same code that the
-// runtime gate short-circuits at its first branch, so the runtime-off number
-// is an upper bound on the compiled-out cost. Two things are measured per
+// The baseline is the runtime gate journal::set_enabled(false), which
+// short-circuits emit at its first branch. Two things are measured per
 // path: the end-to-end operation with the journal on vs off, and the raw
 // journal::emit() so the per-event cost is pinned down even though the
 // steady-state success paths are edge-triggered (a healthy RPC emits no
@@ -133,7 +131,7 @@ void reproduce() {
             << "  raw emit: " << emit_on_us * 1000.0 << " ns enabled, "
             << emit_off_us * 1000.0 << " ns gated off\n"
             << "  journal events recorded so far: " << obs::journal::emitted()
-            << " (dropped " << obs::journal::dropped() << ")\n";
+            << " (hard-dropped " << obs::journal::hard_dropped() << ")\n";
 }
 
 void BM_SecureRpcJournalOn(benchmark::State& state) {

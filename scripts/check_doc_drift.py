@@ -17,6 +17,11 @@ of the "## Runtime environment variables" table must name exactly the
 `getenv("PSF_...")` / `env_int("PSF_...")` literals in src/, tools/ and
 bench/ (paths relative to the working directory, like --doc).
 
+And over build-time switches: the first column of the "## Build-time
+switches" table must name exactly the PSF_ macros that src/ tests in an
+#if/#ifdef/#ifndef/#elif line and never #defines itself — the ones only a
+compile definition can set.
+
 Usage: check_doc_drift.py --bin-dir build/tools [--doc docs/OPERATIONS.md]
 Exit status: 0 = tables match --help and the source, 1 = drift or a tool
 failed to run, 2 = bad arguments / missing inputs.
@@ -32,6 +37,12 @@ FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 ENV_DIRS = ["src", "tools", "bench"]
 ENV_READ_RE = re.compile(r'\b(?:getenv|env_int)\("(PSF_[A-Z0-9_]+)"')
 SOURCE_EXTS = (".cpp", ".cc", ".hpp", ".h")
+SWITCH_DIRS = ["src"]
+SWITCH_TEST_RE = re.compile(r"^\s*#\s*(?:if|ifdef|ifndef|elif)\b(.*)$",
+                            re.MULTILINE)
+SWITCH_DEFINE_RE = re.compile(r"^\s*#\s*define\s+(PSF_[A-Z0-9_]+)",
+                              re.MULTILINE)
+PSF_NAME_RE = re.compile(r"\bPSF_[A-Z0-9_]+\b")
 
 
 def doc_flags(doc_text, tool):
@@ -50,9 +61,10 @@ def doc_flags(doc_text, tool):
     return flags
 
 
-def doc_env_vars(doc_text):
-    """Backticked PSF_ names in the first column of the env-var table."""
-    section = re.search(r"^## Runtime environment variables$(.*?)(?=^## |\Z)",
+def doc_table_names(doc_text, heading):
+    """Backticked PSF_ names in the first column of the table under the
+    "## <heading>" section, or None when the section is missing."""
+    section = re.search(r"^## %s$(.*?)(?=^## |\Z)" % re.escape(heading),
                         doc_text, re.MULTILINE | re.DOTALL)
     if section is None:
         return None
@@ -64,39 +76,54 @@ def doc_env_vars(doc_text):
     return names
 
 
-def source_env_vars(dirs):
-    """PSF_ names the code reads through getenv / env_int literals."""
-    names = set()
+def source_texts(dirs):
     for top in dirs:
         for root, _, files in os.walk(top):
             for name in files:
-                if not name.endswith(SOURCE_EXTS):
-                    continue
-                with open(os.path.join(root, name), encoding="utf-8",
-                          errors="replace") as f:
-                    names.update(ENV_READ_RE.findall(f.read()))
+                if name.endswith(SOURCE_EXTS):
+                    with open(os.path.join(root, name), encoding="utf-8",
+                              errors="replace") as f:
+                        yield f.read()
+
+
+def source_env_vars(dirs):
+    """PSF_ names the code reads through getenv / env_int literals."""
+    names = set()
+    for text in source_texts(dirs):
+        names.update(ENV_READ_RE.findall(text))
     return names
 
 
-def check_env_table(doc_text, doc_path):
-    """Two-way env-var drift check; returns the number of failures."""
-    documented = doc_env_vars(doc_text)
+def source_build_switches(dirs):
+    """PSF_ macros tested by preprocessor conditionals and never #defined."""
+    tested, defined = set(), set()
+    for text in source_texts(dirs):
+        for condition in SWITCH_TEST_RE.findall(text):
+            tested.update(PSF_NAME_RE.findall(condition))
+        defined.update(SWITCH_DEFINE_RE.findall(text))
+    return tested - defined
+
+
+def check_table(doc_text, doc_path, label, heading, dirs, in_source, verb):
+    """Two-way drift check of one PSF_ name table against the source;
+    returns the number of failures."""
+    documented = doc_table_names(doc_text, heading)
     if documented is None:
-        print("  FAIL  env: no '## Runtime environment variables' section "
-              "in %s" % doc_path)
+        print("  FAIL  %s: no '## %s' section in %s" %
+              (label, heading, doc_path))
         return 1
-    read = source_env_vars(ENV_DIRS)
-    unread = sorted(documented - read)
-    undocumented = sorted(read - documented)
+    found = in_source(dirs)
+    stale = sorted(documented - found)
+    undocumented = sorted(found - documented)
     if undocumented:
-        print("  FAIL  env: read in %s but not in %s: %s" %
-              ("/".join(ENV_DIRS), doc_path, ", ".join(undocumented)))
-    if unread:
-        print("  FAIL  env: in %s but read nowhere in %s: %s" %
-              (doc_path, "/".join(ENV_DIRS), ", ".join(unread)))
-    if undocumented or unread:
+        print("  FAIL  %s: %s in %s but not in %s: %s" %
+              (label, verb, "/".join(dirs), doc_path, ", ".join(undocumented)))
+    if stale:
+        print("  FAIL  %s: in %s but %s nowhere in %s: %s" %
+              (label, doc_path, verb, "/".join(dirs), ", ".join(stale)))
+    if undocumented or stale:
         return 1
-    print("        ok  env: %d variable(s) match" % len(read))
+    print("        ok  %s: %d name(s) match" % (label, len(found)))
     return 0
 
 
@@ -152,13 +179,18 @@ def main():
         else:
             print("        ok  %s: %d flag(s) match" % (tool, len(live)))
 
-    failures += check_env_table(doc_text, args.doc)
+    failures += check_table(doc_text, args.doc, "env",
+                            "Runtime environment variables", ENV_DIRS,
+                            source_env_vars, "read")
+    failures += check_table(doc_text, args.doc, "switches",
+                            "Build-time switches", SWITCH_DIRS,
+                            source_build_switches, "tested")
 
     if failures:
         print("\n%d table(s) drifted from %s" % (failures, args.doc))
         return 1
-    print("\nall %d flag tables match live --help output and the env table "
-          "matches the source" % len(TOOLS))
+    print("\nall %d flag tables match live --help output and the env and "
+          "build-switch tables match the source" % len(TOOLS))
     return 0
 
 

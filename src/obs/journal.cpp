@@ -1,7 +1,6 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -15,14 +14,16 @@
 #include <tuple>
 
 #include "obs/metrics.hpp"
+#include "obs/seqlock.hpp"
 
 namespace psf::obs::journal {
 
 namespace {
 
-// Ring size per thread (journal.hpp exports the constant): 4096 * 64 B =
-// 256 KiB per writer thread — deep enough to hold the interesting window
-// around a fault, small enough that a pool of worker threads stays cheap.
+// Ring size per thread (journal.hpp exports the constant): 4096 * 72 B
+// (a 64-byte event plus its generation word) = 288 KiB per writer thread —
+// deep enough to hold the interesting window around a fault, small enough
+// that a pool of worker threads stays cheap.
 static_assert((kRingCapacity & (kRingCapacity - 1)) == 0,
               "ring indexing relies on a power-of-two capacity");
 
@@ -30,7 +31,6 @@ std::atomic<bool> g_enabled{true};
 
 struct JournalMetrics {
   Counter& events = counter("psf.obs.journal.events");
-  Counter& dropped = counter("psf.obs.journal.dropped");
   Counter& soft_drops = counter("psf.obs.journal.soft_drops");
   Counter& hard_drops = counter("psf.obs.journal.hard_drops");
   Counter& drains = counter("psf.obs.journal.drains");
@@ -40,203 +40,72 @@ struct JournalMetrics {
   }
 };
 
-// ------------------------------------------------------- seqlock slot codec
-//
-// Both ring kinds share one slot protocol. A slot is eight relaxed atomic
-// payload words plus a generation counter: 0 = never written, 2*(i+1) =
-// logical index i fully written, odd = write in flight. Writer: publish the
-// odd generation, release-fence, store the payload, release-store the even
-// generation. Reader: acquire-load the generation, copy the payload,
-// acquire-fence, re-load — accept only an unchanged even match for the
-// expected index. The fence pair is the [atomics.fences] seqlock recipe: if
-// the reader saw any payload word of a newer write, the re-load is
-// guaranteed to see at least that write's odd generation and rejects.
+// Both ring kinds store an Event as one eight-word seqlock record
+// (obs/seqlock.hpp), so drains never return a torn event. pack() builds the
+// words from the fields, not from the Event's bytes: copying a just-built
+// struct through memory stalls store forwarding on the emit path.
+using EventRing = seqlock::Ring<8>;
+using Record = EventRing::Record;
+static_assert(sizeof(seqlock::Slot<8>) == 72,
+              "a journal slot is one 64-byte event plus its generation");
 
-constexpr std::size_t kWordsPerEvent = 8;
-static_assert(sizeof(Event) == kWordsPerEvent * sizeof(std::uint64_t),
-              "Event must pack into exactly eight 64-bit ring words");
-
-constexpr std::uint64_t seq_writing(std::uint64_t index) {
-  return 2 * index + 1;
-}
-constexpr std::uint64_t seq_complete(std::uint64_t index) {
-  return 2 * index + 2;
+Record pack(const Event& event) {
+  return {static_cast<std::uint64_t>(event.t_ns), event.trace_id,
+          event.span_id, event.args[0], event.args[1], event.args[2],
+          event.args[3],
+          static_cast<std::uint64_t>(event.thread) |
+              (static_cast<std::uint64_t>(event.subsystem) << 32) |
+              (static_cast<std::uint64_t>(event.code) << 48)};
 }
 
-void store_words(std::atomic<std::uint64_t>* base, const Event& event) {
-  base[0].store(static_cast<std::uint64_t>(event.t_ns),
-                std::memory_order_relaxed);
-  base[1].store(event.trace_id, std::memory_order_relaxed);
-  base[2].store(event.span_id, std::memory_order_relaxed);
-  for (std::size_t a = 0; a < 4; ++a) {
-    base[3 + a].store(event.args[a], std::memory_order_relaxed);
-  }
-  base[7].store(static_cast<std::uint64_t>(event.thread) |
-                    (static_cast<std::uint64_t>(event.subsystem) << 32) |
-                    (static_cast<std::uint64_t>(event.code) << 48),
-                std::memory_order_relaxed);
-}
-
-Event load_words(const std::atomic<std::uint64_t>* base) {
+Event unpack(const Record& record) {
   Event event;
-  event.t_ns =
-      static_cast<std::int64_t>(base[0].load(std::memory_order_relaxed));
-  event.trace_id = base[1].load(std::memory_order_relaxed);
-  event.span_id = base[2].load(std::memory_order_relaxed);
-  for (std::size_t a = 0; a < 4; ++a) {
-    event.args[a] = base[3 + a].load(std::memory_order_relaxed);
-  }
-  const std::uint64_t packed = base[7].load(std::memory_order_relaxed);
-  event.thread = static_cast<std::uint32_t>(packed & 0xFFFFFFFFu);
-  event.subsystem = static_cast<std::uint16_t>((packed >> 32) & 0xFFFFu);
-  event.code = static_cast<std::uint16_t>(packed >> 48);
+  event.t_ns = static_cast<std::int64_t>(record[0]);
+  event.trace_id = record[1];
+  event.span_id = record[2];
+  for (std::size_t a = 0; a < 4; ++a) event.args[a] = record[3 + a];
+  event.thread = static_cast<std::uint32_t>(record[7]);
+  event.subsystem = static_cast<std::uint16_t>(record[7] >> 32);
+  event.code = static_cast<std::uint16_t>(record[7] >> 48);
   return event;
-}
-
-/// Seqlock read of one slot. True (and `out` filled) only when the slot
-/// holds logical `index`, completely written, unchanged across the copy.
-bool read_slot(const std::atomic<std::uint64_t>* seq,
-               const std::atomic<std::uint64_t>* words, std::uint64_t index,
-               Event& out) {
-  const std::uint64_t s1 = seq->load(std::memory_order_acquire);
-  if (s1 != seq_complete(index)) return false;
-  out = load_words(words);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  return seq->load(std::memory_order_relaxed) == s1;
 }
 
 // --------------------------------------------------------- shared overflow
 //
 // One bounded multi-producer ring absorbing events displaced from any
-// thread ring. Producers claim a logical index with a fetch_add, then CAS
-// the slot generation from the previous lap's even value to "writing" —
-// the Vyukov-style discipline that makes a producer lapped by a faster one
-// fail loudly (hard drop) instead of mixing two events in one slot.
-struct OverflowRing {
-  explicit OverflowRing(std::size_t capacity) {
-    std::size_t rounded = 1;
-    while (rounded < capacity) rounded <<= 1;
-    this->capacity = rounded;
-    seq = std::make_unique<std::atomic<std::uint64_t>[]>(rounded);
-    words =
-        std::make_unique<std::atomic<std::uint64_t>[]>(rounded * kWordsPerEvent);
-    for (std::size_t i = 0; i < rounded; ++i) seq[i].store(0);
-    for (std::size_t i = 0; i < rounded * kWordsPerEvent; ++i) {
-      words[i].store(0);
-    }
-  }
-
-  /// Absorb one displaced event. Returns false when a slot race loses the
-  /// migration; sets `overwrote` when the push displaced a previously
-  /// absorbed event (which is now hard-lost).
-  bool push(const Event& event, bool& overwrote) {
-    const std::uint64_t index = head.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t p = index & (capacity - 1);
-    std::uint64_t expected =
-        index >= capacity ? seq_complete(index - capacity) : 0;
-    if (!seq[p].compare_exchange_strong(expected, seq_writing(index),
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      return false;
-    }
-    overwrote = index >= capacity;
-    std::atomic_thread_fence(std::memory_order_release);
-    store_words(&words[p * kWordsPerEvent], event);
-    seq[p].store(seq_complete(index), std::memory_order_release);
-    return true;
-  }
-
-  void snapshot_into(std::vector<Event>& out) const {
-    const std::uint64_t h = head.load(std::memory_order_acquire);
-    const std::uint64_t begin = h > capacity ? h - capacity : 0;
-    out.reserve(out.size() + static_cast<std::size_t>(h - begin));
-    Event event;
-    for (std::uint64_t i = begin; i < h; ++i) {
-      const std::size_t p = i & (capacity - 1);
-      if (read_slot(&seq[p], &words[p * kWordsPerEvent], i, event)) {
-        out.push_back(event);
-      }
-    }
-  }
-
-  /// Rewind in place (reset()). Concurrent pushers lose their CAS against
-  /// the zeroed generations and report hard drops — consistent, not torn.
-  void rewind() {
-    head.store(0, std::memory_order_release);
-    for (std::size_t i = 0; i < capacity; ++i) {
-      seq[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
-  alignas(64) std::atomic<std::uint64_t> head{0};
-  std::size_t capacity = 0;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> seq;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-};
-
+// thread ring. A producer lapped by a faster one fails its slot claim (a
+// hard drop) instead of mixing two events in one slot.
 constexpr std::size_t kDefaultOverflowCapacity = 16384;
 
 /// The live overflow ring. Swapped wholesale by set_overflow_capacity();
 /// superseded rings are never freed (a racing pusher may still hold the
 /// old pointer, and reconfiguration is a rare, explicit act).
-std::atomic<OverflowRing*>& overflow_slot() {
-  static std::atomic<OverflowRing*> ring{
-      new OverflowRing(kDefaultOverflowCapacity)};
+std::atomic<EventRing*>& overflow_slot() {
+  static std::atomic<EventRing*> ring{new EventRing(kDefaultOverflowCapacity)};
   return ring;
 }
 
 /// One thread's ring. The owning thread is the only writer; drainers read
-/// concurrently through the per-slot seqlock protocol above, so a slot
-/// overwritten mid-copy is rejected by its generation mismatch rather than
-/// returned torn.
+/// concurrently through the seqlock slots.
 struct ThreadRing {
-  // Monotonic write position, published with release after the slot
-  // completes so a drainer's acquire load only considers finished slots.
-  alignas(64) std::atomic<std::uint64_t> head{0};
-  std::array<std::atomic<std::uint64_t>, kRingCapacity> seq{};
-  std::array<std::atomic<std::uint64_t>, kRingCapacity * kWordsPerEvent> words;
+  EventRing ring{kRingCapacity};
   std::uint32_t thread_number = 0;
 
   void append(const Event& event, JournalMetrics& metrics) {
-    const std::uint64_t h = head.load(std::memory_order_relaxed);
-    const std::size_t p = h & (kRingCapacity - 1);
+    const std::uint64_t h = ring.head();
     if (h >= kRingCapacity) {
-      // Salvage the event this write displaces. Single writer: the old
-      // payload is this thread's own earlier store, safe to read plainly.
-      const Event old = load_words(&words[p * kWordsPerEvent]);
-      OverflowRing* overflow =
-          overflow_slot().load(std::memory_order_acquire);
-      bool overwrote = false;
-      if (overflow != nullptr && overflow->push(old, overwrote)) {
+      // Salvage the event this write displaces into the overflow ring.
+      EventRing* overflow = overflow_slot().load(std::memory_order_acquire);
+      bool displaced = false;
+      if (overflow != nullptr && overflow->try_push(ring.peek(h), displaced)) {
         metrics.soft_drops.inc();
-        if (overwrote) {
-          // The push itself evicted an older absorbed event for good.
-          metrics.hard_drops.inc();
-          metrics.dropped.inc();
-        }
+        // The push itself evicted an older absorbed event for good.
+        if (displaced) metrics.hard_drops.inc();
       } else {
         metrics.hard_drops.inc();
-        metrics.dropped.inc();
       }
     }
-    seq[p].store(seq_writing(h), std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    store_words(&words[p * kWordsPerEvent], event);
-    seq[p].store(seq_complete(h), std::memory_order_release);
-    head.store(h + 1, std::memory_order_release);
-  }
-
-  void snapshot_into(std::vector<Event>& out) const {
-    const std::uint64_t h = head.load(std::memory_order_acquire);
-    const std::uint64_t begin = h > kRingCapacity ? h - kRingCapacity : 0;
-    out.reserve(out.size() + static_cast<std::size_t>(h - begin));
-    Event event;
-    for (std::uint64_t i = begin; i < h; ++i) {
-      const std::size_t p = i & (kRingCapacity - 1);
-      if (read_slot(&seq[p], &words[p * kWordsPerEvent], i, event)) {
-        out.push_back(event);
-      }
-    }
+    ring.append(pack(event));
   }
 };
 
@@ -298,10 +167,6 @@ std::uint64_t tag(std::string_view name) {
 
 void emit(Subsystem subsystem, std::uint16_t code, std::uint64_t a0,
           std::uint64_t a1, std::uint64_t a2, std::uint64_t a3) {
-#ifdef PSF_OBS_NO_JOURNAL
-  (void)subsystem; (void)code; (void)a0; (void)a1; (void)a2; (void)a3;
-  return;
-#else
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   ThreadRing& ring = local_ring();
   const SpanContext ctx = current_context();
@@ -319,7 +184,6 @@ void emit(Subsystem subsystem, std::uint16_t code, std::uint64_t a0,
   JournalMetrics& metrics = JournalMetrics::get();
   ring.append(event, metrics);
   metrics.events.inc();
-#endif
 }
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -339,13 +203,16 @@ std::vector<Event> drain() {
   std::vector<Event> merged;
   // Overflow first, then the live rings: an event caught mid-migration can
   // appear in both, and the dedupe pass below removes the twin.
-  if (OverflowRing* overflow = overflow_slot().load(std::memory_order_acquire)) {
-    overflow->snapshot_into(merged);
+  const auto collect = [&merged](const Record& r) {
+    merged.push_back(unpack(r));
+  };
+  if (EventRing* overflow = overflow_slot().load(std::memory_order_acquire)) {
+    overflow->for_each(collect);
   }
   {
     RingRegistry& registry = RingRegistry::get();
     std::lock_guard<std::mutex> lock(registry.mutex);
-    for (const auto& ring : registry.rings) ring->snapshot_into(merged);
+    for (const auto& ring : registry.rings) ring->ring.for_each(collect);
   }
   // Full lexicographic order (t_ns first) makes exact duplicates adjacent;
   // distinct events legitimately sharing a timestamp are kept.
@@ -368,7 +235,6 @@ std::vector<Event> tail(std::size_t n) {
 }
 
 std::uint64_t emitted() { return JournalMetrics::get().events.value(); }
-std::uint64_t dropped() { return JournalMetrics::get().hard_drops.value(); }
 std::uint64_t soft_dropped() {
   return JournalMetrics::get().soft_drops.value();
 }
@@ -377,15 +243,14 @@ std::uint64_t hard_dropped() {
 }
 
 void set_overflow_capacity(std::size_t capacity) {
-  OverflowRing* replacement =
-      capacity == 0 ? nullptr : new OverflowRing(capacity);
+  EventRing* replacement = capacity == 0 ? nullptr : new EventRing(capacity);
   // The superseded ring is never freed: a pusher racing the swap may still
   // hold its pointer, and resizing is a rare, explicit config act. Parking
   // it in a never-destroyed list keeps it reachable, so leak checkers do
   // not report it.
   static std::mutex parked_mutex;
-  static auto* parked = new std::vector<OverflowRing*>;
-  OverflowRing* superseded =
+  static auto* parked = new std::vector<EventRing*>;
+  EventRing* superseded =
       overflow_slot().exchange(replacement, std::memory_order_acq_rel);
   if (superseded != nullptr) {
     std::lock_guard<std::mutex> lock(parked_mutex);
@@ -394,22 +259,15 @@ void set_overflow_capacity(std::size_t capacity) {
 }
 
 std::size_t overflow_capacity() {
-  OverflowRing* overflow = overflow_slot().load(std::memory_order_acquire);
-  return overflow == nullptr ? 0 : overflow->capacity;
+  EventRing* overflow = overflow_slot().load(std::memory_order_acquire);
+  return overflow == nullptr ? 0 : overflow->capacity();
 }
 
 void reset() {
   RingRegistry& registry = RingRegistry::get();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  for (const auto& ring : registry.rings) {
-    // Restarting the generation sequence at 0 invalidates every old slot:
-    // a drainer mid-copy sees a generation mismatch and rejects, never a
-    // torn mix of old and new.
-    for (auto& s : ring->seq) s.store(0, std::memory_order_relaxed);
-    ring->head.store(0, std::memory_order_release);
-  }
-  if (OverflowRing* overflow =
-          overflow_slot().load(std::memory_order_acquire)) {
+  for (const auto& ring : registry.rings) ring->ring.rewind();
+  if (EventRing* overflow = overflow_slot().load(std::memory_order_acquire)) {
     overflow->rewind();
   }
 }
@@ -510,7 +368,7 @@ bool dump(const std::string& path) {
   if (!out) return false;
   const std::vector<Event> events = drain();
   out << "# psf journal dump: " << events.size() << " events ("
-      << dropped() << " older events overwritten)\n";
+      << hard_dropped() << " older events lost)\n";
   write_events(out, events);
   emit(Subsystem::kObs, kObFaultDump, events.size());
   return true;
@@ -519,7 +377,7 @@ bool dump(const std::string& path) {
 void write_fault_dump(std::ostream& os, std::size_t max_events) {
   const std::vector<Event> events = tail(max_events);
   os << "==== psf flight recorder (" << events.size() << " newest events, "
-     << emitted() << " emitted, " << dropped() << " overwritten) ====\n";
+     << emitted() << " emitted, " << hard_dropped() << " lost) ====\n";
   write_events(os, events);
   os << "==== end flight recorder ====" << std::endl;
 }

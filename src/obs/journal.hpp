@@ -8,9 +8,9 @@
 //    no allocation, no formatting.
 //  - Per-thread rings are registered process-wide on first use and outlive
 //    their threads; drain() merges every ring's retained tail into one
-//    time-ordered vector without stopping writers (per-slot seqlock
-//    generation counters discard slots overwritten mid-copy, never
-//    returning them torn).
+//    time-ordered vector without stopping writers (the seqlock slots of
+//    obs/seqlock.hpp discard slots overwritten mid-copy, never returning
+//    them torn).
 //  - Overflow ring (ISSUE 6): when a thread ring wraps, the event it is
 //    about to overwrite is salvaged into one shared bounded overflow ring
 //    before the slot is reused, so bursts that outrun a ring are absorbed
@@ -29,7 +29,7 @@
 //    $PSF_JOURNAL_FAULT_DUMP when set) before the process dies; dump(path)
 //    is the explicit form.
 //
-// Metrics: psf.obs.journal.{events,dropped,soft_drops,hard_drops,drains}.
+// Metrics: psf.obs.journal.{events,soft_drops,hard_drops,drains}.
 #pragma once
 
 #include <cstdint>
@@ -106,13 +106,13 @@ struct Event {
 std::uint64_t tag(std::string_view name);
 
 /// Record one event on the calling thread's ring. Safe from any thread at
-/// any time; a disabled journal (set_enabled(false), or building with
-/// PSF_OBS_NO_JOURNAL) reduces to a relaxed load + branch.
+/// any time; a disabled journal (set_enabled(false)) reduces to a relaxed
+/// load + branch.
 void emit(Subsystem subsystem, std::uint16_t code, std::uint64_t a0 = 0,
           std::uint64_t a1 = 0, std::uint64_t a2 = 0, std::uint64_t a3 = 0);
 
-/// Runtime gate (default on). The bench ablation flips this to approximate
-/// the compiled-out baseline without a second binary.
+/// Runtime gate (default on). The bench ablation flips this to measure the
+/// journal's cost.
 bool enabled();
 void set_enabled(bool on);
 
@@ -129,9 +129,6 @@ std::vector<Event> tail(std::size_t n);
 
 /// Total events ever emitted, process-wide (mirrors psf.obs.journal.events).
 std::uint64_t emitted();
-/// Events lost for good (== hard_dropped(); kept for callers that predate
-/// the soft/hard split).
-std::uint64_t dropped();
 /// Events displaced from a thread ring but absorbed by the overflow ring —
 /// still drainable; the flight recorder working as designed under a burst.
 std::uint64_t soft_dropped();

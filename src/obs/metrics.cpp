@@ -23,42 +23,30 @@ Histogram::Histogram(std::string name, std::vector<std::int64_t> bounds)
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
   buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  exemplars_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      (bounds_.size() + 1) * kExemplarWords);
+  exemplars_ = std::make_unique<ExemplarSlot[]>(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-  for (std::size_t i = 0; i < (bounds_.size() + 1) * kExemplarWords; ++i) {
-    exemplars_[i].store(0);
-  }
 }
 
 void Histogram::capture_exemplar(std::size_t bucket, std::int64_t v) {
   const SpanContext ctx = current_context();
   if (!ctx.valid()) return;  // no trace to link — nothing worth capturing
-  std::atomic<std::uint64_t>* slot = &exemplars_[bucket * kExemplarWords];
+  ExemplarSlot& slot = exemplars_[bucket];
   // Rate limit: a slot refreshed within the last millisecond is fresh
   // enough, and skipping keeps the capture (and its trace pin, which takes
-  // the span collector's lock) off the hot path when the tail is busy. The
-  // stale read of t_ns is only a heuristic — at worst one extra capture.
+  // the span collector's lock) off the hot path when the tail is busy.
   constexpr std::int64_t kMinPeriodNs = 1'000'000;
   const std::int64_t now_ns = metrics_now_ns();
-  const auto last_ns =
-      static_cast<std::int64_t>(slot[4].load(std::memory_order_relaxed));
-  if (last_ns != 0 && now_ns - last_ns < kMinPeriodNs) return;
-  // Seqlock write: claim even->odd (skip on contention — losing one tail
-  // exemplar to a race is fine), publish payload, release odd->even.
-  std::uint64_t seq = slot[0].load(std::memory_order_relaxed);
-  if (seq & 1) return;
-  if (!slot[0].compare_exchange_strong(seq, seq + 1,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
+  ExemplarSlot::Record last{};
+  if (slot.read(last) &&
+      now_ns - static_cast<std::int64_t>(last[3]) < kMinPeriodNs) {
     return;
   }
-  std::atomic_thread_fence(std::memory_order_release);
-  slot[1].store(ctx.trace_id, std::memory_order_relaxed);
-  slot[2].store(ctx.span_id, std::memory_order_relaxed);
-  slot[3].store(static_cast<std::uint64_t>(v), std::memory_order_relaxed);
-  slot[4].store(static_cast<std::uint64_t>(now_ns), std::memory_order_relaxed);
-  slot[0].store(seq + 2, std::memory_order_release);
+  // Skip on contention: losing one tail exemplar to a race is fine.
+  if (!slot.try_write(slot.next_index(),
+                      {ctx.trace_id, ctx.span_id, static_cast<std::uint64_t>(v),
+                       static_cast<std::uint64_t>(now_ns)})) {
+    return;
+  }
   // Keep the trace resolvable after the span ring wraps (tail retention).
   SpanCollector::instance().pin_trace(ctx.trace_id);
 }
@@ -90,22 +78,10 @@ Histogram::Snapshot Histogram::snapshot() const {
   out.exemplars.resize(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     out.bucket_counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    // Seqlock read: accept only a quiet, non-empty slot whose generation is
-    // unchanged across the payload copy.
-    const std::atomic<std::uint64_t>* slot = &exemplars_[i * kExemplarWords];
-    const std::uint64_t s1 = slot[0].load(std::memory_order_acquire);
-    if (s1 == 0 || (s1 & 1)) continue;
-    Exemplar e;
-    e.trace_id = slot[1].load(std::memory_order_relaxed);
-    e.span_id = slot[2].load(std::memory_order_relaxed);
-    e.value = static_cast<std::int64_t>(
-        slot[3].load(std::memory_order_relaxed));
-    e.t_ns = static_cast<std::int64_t>(
-        slot[4].load(std::memory_order_relaxed));
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot[0].load(std::memory_order_relaxed) != s1) continue;
-    e.valid = true;
-    out.exemplars[i] = e;
+    ExemplarSlot::Record r{};
+    if (!exemplars_[i].read(r)) continue;
+    out.exemplars[i] = {r[0], r[1], static_cast<std::int64_t>(r[2]),
+                        static_cast<std::int64_t>(r[3]), true};
   }
   out.count = count_.load(std::memory_order_relaxed);
   out.sum = sum_.load(std::memory_order_relaxed);
@@ -124,9 +100,7 @@ Histogram::Exemplar Histogram::Snapshot::tail_exemplar() const {
 void Histogram::reset() {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < (bounds_.size() + 1) * kExemplarWords; ++i) {
-    exemplars_[i].store(0, std::memory_order_relaxed);
+    exemplars_[i].rewind();
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/seqlock.hpp"
+
 namespace psf::obs {
 
 class Registry;
@@ -78,7 +80,7 @@ class Gauge {
 ///
 /// Exemplars (ISSUE 6): when an exemplar threshold is set, an observation at
 /// or above it whose thread has an active SpanContext stamps its bucket's
-/// exemplar slot (trace id, span id, value) via a per-bucket seqlock and
+/// exemplar slot (trace id, span id, value) via a per-bucket seqlock slot and
 /// pins the trace in the SpanCollector — the p99 tail of a latency
 /// histogram links directly to the trace that caused it. Captures are
 /// rate-limited to one per bucket per millisecond so a busy tail cannot
@@ -138,14 +140,15 @@ class Histogram {
   void reset();
   void capture_exemplar(std::size_t bucket, std::int64_t v);
 
-  // Per-bucket exemplar slot: [seq, trace_id, span_id, value, t_ns]. seq is
-  // a seqlock generation counter (0 = never written, odd = write in flight).
-  static constexpr std::size_t kExemplarWords = 5;
+  // Per-bucket exemplar record: [trace_id, span_id, value, t_ns].
+  using ExemplarSlot = seqlock::Slot<4>;
+  static_assert(sizeof(ExemplarSlot) == 40,
+                "an exemplar slot is four words plus its generation");
 
   std::string name_;
   std::vector<std::int64_t> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_.size()+1
-  std::unique_ptr<std::atomic<std::uint64_t>[]> exemplars_;
+  std::unique_ptr<ExemplarSlot[]> exemplars_;              // bounds_.size()+1
   std::atomic<std::int64_t> exemplar_threshold_{INT64_MAX};
   alignas(64) std::atomic<std::uint64_t> count_{0};
   std::atomic<std::int64_t> sum_{0};

@@ -1,7 +1,6 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -20,6 +19,7 @@
 #include <unistd.h>
 #endif
 
+#include "obs/seqlock.hpp"
 #include "obs/trace.hpp"
 #include "util/lock_rank.hpp"
 
@@ -78,35 +78,25 @@ std::string json_escape(const std::string& in) {
 
 }  // namespace
 
-#ifndef PSF_OBS_NO_PROFILE
-
 namespace {
 
 // ----------------------------------------------------------- sample rings
 //
-// Per-thread single-writer seqlock ring, the journal's slot protocol
-// (journal.cpp): slot sequence goes 2i+1 (writing) -> 2i+2 (complete) for
-// ring pass i, so a reader can detect both torn and stale slots. The writer
-// is the owning thread (its signal handler, or the synchronous test hook);
-// signals on one thread are serialized and an `appending` flag drops the
-// one pathological interleaving (SIGPROF landing inside a synchronous
+// Per-thread single-writer seqlock ring (obs/seqlock.hpp), so a concurrent
+// report() skips torn and stale samples without blocking the writer. The
+// writer is the owning thread (its signal handler, or the synchronous test
+// hook); signals on one thread are serialized and an `appending` flag drops
+// the one pathological interleaving (SIGPROF landing inside a synchronous
 // sample) instead of corrupting the slot.
 
 constexpr std::size_t kRingCapacity = 2048;  // samples per thread
-static_assert((kRingCapacity & (kRingCapacity - 1)) == 0,
-              "ring capacity must be a power of two");
 
 // Sample layout, in 64-bit words: [0] steady time ns, [1] packed
 // depth|phase|truncated, [2] lock-site pointer, [3..3+kMaxFrames) span-name
 // pointers (outermost first).
-constexpr std::size_t kWordsPerSample = 3 + kMaxFrames;
-
-constexpr std::uint64_t seq_writing(std::uint64_t index) {
-  return 2 * (index / kRingCapacity) + 1;
-}
-constexpr std::uint64_t seq_complete(std::uint64_t index) {
-  return 2 * (index / kRingCapacity) + 2;
-}
+using SampleRing = seqlock::Ring<3 + kMaxFrames>;
+static_assert(sizeof(seqlock::Slot<3 + kMaxFrames>) == 128,
+              "a profiler slot is fifteen sample words plus its generation");
 
 constexpr std::uint64_t pack_meta(std::uint32_t depth, std::uint8_t phase,
                                   bool truncated) {
@@ -140,10 +130,7 @@ struct ThreadState {
   std::atomic<std::uint64_t> truncated{0};
   std::atomic<std::uint64_t> dropped{0};
 
-  alignas(64) std::atomic<std::uint64_t> head{0};
-  std::array<std::atomic<std::uint64_t>, kRingCapacity> seq{};
-  std::array<std::atomic<std::uint64_t>, kRingCapacity * kWordsPerSample>
-      words{};
+  SampleRing ring{kRingCapacity};
 };
 
 struct Registry {
@@ -181,7 +168,8 @@ std::int64_t steady_now_ns() {
 
 // The one function shared by signal and synchronous contexts. Only
 // async-signal-safe operations: relaxed/fenced atomics on lock-free types,
-// clock_gettime, plain loads of pointers resolved at registration.
+// clock_gettime, plain loads of pointers resolved at registration, and the
+// seqlock ring's append.
 void take_sample(ThreadState& st) {
   if (st.appending.exchange(true, std::memory_order_relaxed)) {
     // A SIGPROF landed inside a synchronous sample on the same thread;
@@ -199,46 +187,20 @@ void take_sample(ThreadState& st) {
     depth = static_cast<std::uint32_t>(
         std::min(kMaxFrames, obs::detail::kSpanStackDepth));
   }
-  const char* frames[kMaxFrames] = {};
-  for (std::uint32_t i = 0; i < depth; ++i) frames[i] = st.spans->names[i];
-
-  const char* lock_site = st.lock->site.load(std::memory_order_relaxed);
-  const std::uint8_t phase = st.phase->load(std::memory_order_relaxed);
-
-  const std::uint64_t h = st.head.load(std::memory_order_relaxed);
-  const std::size_t slot = h & (kRingCapacity - 1);
-  std::atomic<std::uint64_t>* w = &st.words[slot * kWordsPerSample];
-  st.seq[slot].store(seq_writing(h), std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  w[0].store(static_cast<std::uint64_t>(t_ns), std::memory_order_relaxed);
-  w[1].store(pack_meta(depth, phase, truncated), std::memory_order_relaxed);
-  w[2].store(reinterpret_cast<std::uintptr_t>(lock_site),
-             std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kMaxFrames; ++i) {
-    w[3 + i].store(reinterpret_cast<std::uintptr_t>(
-                       i < depth ? frames[i] : nullptr),
-                   std::memory_order_relaxed);
+  SampleRing::Record sample{};
+  sample[0] = static_cast<std::uint64_t>(t_ns);
+  sample[1] = pack_meta(depth, st.phase->load(std::memory_order_relaxed),
+                        truncated);
+  sample[2] = reinterpret_cast<std::uintptr_t>(
+      st.lock->site.load(std::memory_order_relaxed));
+  for (std::uint32_t i = 0; i < depth; ++i) {
+    sample[3 + i] = reinterpret_cast<std::uintptr_t>(st.spans->names[i]);
   }
-  st.seq[slot].store(seq_complete(h), std::memory_order_release);
-  st.head.store(h + 1, std::memory_order_release);
+  st.ring.append(sample);
 
   st.samples.fetch_add(1, std::memory_order_relaxed);
   if (truncated) st.truncated.fetch_add(1, std::memory_order_relaxed);
   st.appending.store(false, std::memory_order_relaxed);
-}
-
-/// Seqlock read of one slot into `out`; false = torn or overwritten.
-bool read_sample(const ThreadState& st, std::uint64_t index,
-                 std::uint64_t out[kWordsPerSample]) {
-  const std::size_t slot = index & (kRingCapacity - 1);
-  const std::uint64_t want = seq_complete(index);
-  if (st.seq[slot].load(std::memory_order_acquire) != want) return false;
-  const std::atomic<std::uint64_t>* w = &st.words[slot * kWordsPerSample];
-  for (std::size_t i = 0; i < kWordsPerSample; ++i) {
-    out[i] = w[i].load(std::memory_order_relaxed);
-  }
-  std::atomic_thread_fence(std::memory_order_acquire);
-  return st.seq[slot].load(std::memory_order_relaxed) == want;
 }
 
 // --------------------------------------------------------- signal plumbing
@@ -369,7 +331,7 @@ void set_thread_phase(LoopPhase phase) {
                      std::memory_order_relaxed);
 }
 
-bool register_thread(const char* name) {
+void register_thread(const char* name) {
   StateHandle& handle = state_handle();
   Control& control = Control::get();
   Registry& registry = Registry::get();
@@ -394,7 +356,6 @@ bool register_thread(const char* name) {
     arm(*handle.state,
         control.interval_us.load(std::memory_order_relaxed));
   }
-  return true;
 }
 
 void unregister_thread() {
@@ -447,13 +408,7 @@ bool sample_current_thread() {
 void clear() {
   Registry& registry = Registry::get();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  for (const auto& st : registry.states) {
-    // Not slot-safe against the owner thread appending concurrently — but a
-    // stale seq only makes the reader skip the slot, never tear it, and the
-    // bench only clears between phases with the profiler stopped.
-    st->head.store(0, std::memory_order_relaxed);
-    for (auto& s : st->seq) s.store(0, std::memory_order_relaxed);
-  }
+  for (const auto& st : registry.states) st->ring.rewind();
 }
 
 Report report() {
@@ -481,12 +436,7 @@ Report report() {
     out.truncated += status.truncated;
     out.dropped += status.dropped;
 
-    const std::uint64_t head = st->head.load(std::memory_order_acquire);
-    const std::uint64_t begin =
-        head > kRingCapacity ? head - kRingCapacity : 0;
-    std::uint64_t words[kWordsPerSample];
-    for (std::uint64_t i = begin; i < head; ++i) {
-      if (!read_sample(*st, i, words)) continue;
+    st->ring.for_each([&](const SampleRing::Record& words) {
       const std::uint32_t depth =
           static_cast<std::uint32_t>(words[1] & 0xff);
       const auto phase = static_cast<std::uint8_t>((words[1] >> 8) & 0xff);
@@ -516,7 +466,7 @@ Report report() {
       Folded& entry = folded[key];
       if (entry.count == 0) entry.frames = std::move(frames);
       ++entry.count;
-    }
+    });
     out.threads.push_back(std::move(status));
   }
 
@@ -532,23 +482,7 @@ Report report() {
   return out;
 }
 
-#else  // PSF_OBS_NO_PROFILE — every surface compiles to a no-op.
-
-void set_thread_phase(LoopPhase /*phase*/) {}
-bool register_thread(const char* /*name*/) { return false; }
-void unregister_thread() {}
-bool start(Options /*options*/) { return false; }
-void stop() {}
-bool running() { return false; }
-std::uint64_t interval_us() { return 0; }
-bool sample_current_thread() { return false; }
-void clear() {}
-Report report() { return {}; }
-
-#endif  // PSF_OBS_NO_PROFILE
-
 // ------------------------------------------------------------- formatting
-// (compiled in both flavors: an empty Report renders valid documents)
 
 std::string to_folded(const Report& report) {
   std::ostringstream out;
@@ -614,11 +548,7 @@ std::string status_json() {
   const Report r = report();
   std::ostringstream out;
   out << "{\"version\":\"profile-v1\","
-#ifdef PSF_OBS_NO_PROFILE
-      << "\"compiled\":false,"
-#else
       << "\"compiled\":true,"
-#endif
       << "\"running\":" << (r.running ? "true" : "false") << ','
       << "\"interval_us\":" << r.interval_us << ','
       << "\"samples\":" << r.samples << ','

@@ -16,11 +16,11 @@
 //   - the loop-phase slot published by EventLoop (set_thread_phase), naming
 //     which part of the event-loop iteration the thread is in.
 //
-// The sample is appended to a per-thread seqlock ring (the journal's slot
-// protocol, journal.cpp) so a concurrent report() on another thread folds a
-// consistent snapshot without ever blocking the handler. All frame strings
-// are static-storage literals, so storing raw pointers in the ring is safe
-// for the life of the process.
+// The sample is appended to a per-thread seqlock ring (obs/seqlock.hpp) so
+// a concurrent report() on another thread folds a consistent snapshot
+// without ever blocking the handler. All frame strings are static-storage
+// literals, so storing raw pointers in the ring is safe for the life of the
+// process.
 //
 // Because the sampling clock is the thread's CPU clock, profiles attribute
 // *CPU time*: a thread parked in poll-wait accrues almost no samples. The
@@ -33,11 +33,8 @@
 // phase: appears only when the thread published a phase, lock: only when
 // the sample caught the thread blocked on a ranked mutex.
 //
-// Compile gate: building with -DPSF_OBS_NO_PROFILE compiles every
-// publication surface and this whole module down to no-ops (start() and
-// register_thread() return false). Non-Linux builds keep the surfaces but
-// cannot arm timers — start() returns false, the synchronous
-// sample_current_thread() hook still works.
+// Non-Linux builds keep the surfaces but cannot arm timers — start()
+// returns false, the synchronous sample_current_thread() hook still works.
 #pragma once
 
 #include <cstddef>
@@ -76,8 +73,7 @@ struct Options {
 /// Register the calling thread for sampling under `name` (shown as the
 /// folded-stack root, e.g. "loop.0"). Idempotent; re-registering renames.
 /// If the profiler is running the thread's timer is armed immediately.
-/// Returns false when profiling is compiled out (PSF_OBS_NO_PROFILE).
-bool register_thread(const char* name);
+void register_thread(const char* name);
 
 /// Disarm and delete the calling thread's timer. The thread's ring stays
 /// readable by report(). Threads that exit while registered are disarmed
@@ -86,8 +82,7 @@ void unregister_thread();
 
 /// Arm every registered thread's timer and arm future registrations.
 /// Calling start() while running reconfigures the interval in place.
-/// Returns false when compiled out or when no timer could be created
-/// (non-Linux).
+/// Returns false when no timer could be created (non-Linux).
 bool start(Options options = {});
 
 /// Disarm all timers. Rings keep their contents for a post-mortem report().
@@ -98,8 +93,7 @@ std::uint64_t interval_us();
 
 /// Take one sample of the calling thread synchronously, through the same
 /// append path as the signal handler — the deterministic hook used by tests
-/// and benches. Returns false when the thread is not registered (or the
-/// profiler is compiled out).
+/// and benches. Returns false when the thread is not registered.
 bool sample_current_thread();
 
 /// Rewind every thread's sample ring (the cumulative counters keep

@@ -35,7 +35,6 @@ SpanNameStack& span_name_stack() {
   return stack;
 }
 
-#ifndef PSF_OBS_NO_PROFILE
 namespace {
 
 // Push/pop are always depth-symmetric: the counter tracks every open span
@@ -56,7 +55,6 @@ inline void pop_span_name() {
 }
 
 }  // namespace
-#endif  // PSF_OBS_NO_PROFILE
 }  // namespace detail
 
 SpanContext current_context() { return t_current; }
@@ -215,15 +213,11 @@ ScopedSpan::ScopedSpan(const char* name)
   ctx_.span_id = next_id();
   parent_id_ = prev_.valid() ? prev_.span_id : 0;
   t_current = ctx_;
-#ifndef PSF_OBS_NO_PROFILE
   detail::push_span_name(name_);
-#endif
 }
 
 ScopedSpan::~ScopedSpan() {
-#ifndef PSF_OBS_NO_PROFILE
   detail::pop_span_name();
-#endif
   t_current = prev_;
   SpanRecord record;
   record.trace_id = ctx_.trace_id;

@@ -110,20 +110,11 @@ inline WaitSlot& wait_slot() {
 class ScopedWait {
  public:
   ScopedWait(const char* site, int rank) {
-#ifndef PSF_OBS_NO_PROFILE
     WaitSlot& slot = wait_slot();
     slot.rank.store(rank, std::memory_order_relaxed);
     slot.site.store(site, std::memory_order_relaxed);
-#else
-    (void)site;
-    (void)rank;
-#endif
   }
-  ~ScopedWait() {
-#ifndef PSF_OBS_NO_PROFILE
-    wait_slot().site.store(nullptr, std::memory_order_relaxed);
-#endif
-  }
+  ~ScopedWait() { wait_slot().site.store(nullptr, std::memory_order_relaxed); }
   ScopedWait(const ScopedWait&) = delete;
   ScopedWait& operator=(const ScopedWait&) = delete;
 };

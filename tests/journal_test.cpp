@@ -106,7 +106,6 @@ TEST(Journal, OverflowAbsorbsBurstWithSoftNotHardDrops) {
   // soft drops, still drainable. Nothing was lost for good.
   EXPECT_EQ(j::soft_dropped() - soft_before, kTotal - 4096);
   EXPECT_EQ(j::hard_dropped() - hard_before, 0u);
-  EXPECT_EQ(j::dropped(), j::hard_dropped());  // legacy alias = hard
 
   const auto events = j::drain();
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kTotal));

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "drbac/credential.hpp"
@@ -183,6 +186,60 @@ TEST(Metrics, ExemplarThresholdSurvivesRegistryReset) {
   // captured exemplars.
   EXPECT_EQ(h.exemplar_threshold(), 42);
   EXPECT_FALSE(h.snapshot().tail_exemplar().valid);
+}
+
+// Writers capture exemplars while snapshots and resets race them. Every
+// valid exemplar a snapshot returns must be one whole capture: the
+// (trace_id, span_id, value) of a single observe, never a mix of two.
+TEST(Metrics, ExemplarCaptureRacingSnapshotNeverTorn) {
+  SpanCollector::instance().clear();
+  Registry registry;
+  Histogram& h = registry.histogram("test.exemplar.race_us", {10, 100});
+  h.set_exemplar_threshold(100);
+  using Triple = std::tuple<std::uint64_t, std::uint64_t, std::int64_t>;
+  constexpr int kWriters = 3;
+  constexpr std::int64_t kObserves = 4000;
+
+  std::vector<std::vector<Triple>> produced(kWriters);
+  std::atomic<int> writing{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::int64_t i = 0; i < kObserves; ++i) {
+        // 100 lands in the 100 bucket, everything larger in +Inf.
+        const std::int64_t v = 100 + i * kWriters + w;
+        ScopedSpan span("test.exemplar.race");
+        produced[static_cast<std::size_t>(w)].emplace_back(
+            span.context().trace_id, span.context().span_id, v);
+        h.observe(v);
+      }
+      writing.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+  std::vector<Triple> seen;
+  threads.emplace_back([&] {
+    int round = 0;
+    while (writing.load(std::memory_order_relaxed) > 0) {
+      for (const auto& e : h.snapshot().exemplars) {
+        if (e.valid) seen.emplace_back(e.trace_id, e.span_id, e.value);
+      }
+      // Rewinding lifts the 1 ms rate limit, so captures keep coming.
+      if (++round % 8 == 0) registry.reset();
+    }
+  });
+  for (auto& t : threads) t.join();
+  for (const auto& e : h.snapshot().exemplars) {
+    if (e.valid) seen.emplace_back(e.trace_id, e.span_id, e.value);
+  }
+
+  std::set<Triple> all;
+  for (const auto& writer : produced) all.insert(writer.begin(), writer.end());
+  ASSERT_FALSE(seen.empty()) << "no exemplar was ever captured";
+  for (const Triple& t : seen) {
+    EXPECT_TRUE(all.count(t) == 1)
+        << "torn exemplar: trace " << std::get<0>(t) << " span "
+        << std::get<1>(t) << " value " << std::get<2>(t);
+  }
 }
 
 TEST(Export, PrometheusExemplarSyntaxRoundTrips) {

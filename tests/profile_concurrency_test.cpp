@@ -45,9 +45,7 @@ void expect_sane(const profile::Report& report) {
 // return them torn (a torn slot shows up as a garbage frame pointer, which
 // the sanity walk or ASan catches).
 TEST(ProfileConcurrency, WraparoundTortureWithConcurrentDrains) {
-  if (!profile::register_thread("torture-main")) {
-    GTEST_SKIP() << "profiler compiled out";
-  }
+  profile::register_thread("torture-main");
   profile::clear();
   constexpr int kWriters = 4;
   constexpr std::uint64_t kSamplesPerWriter = 50'000;  // ~24 ring laps each
@@ -58,7 +56,7 @@ TEST(ProfileConcurrency, WraparoundTortureWithConcurrentDrains) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([w, &writers_done] {
       const std::string name = "torture-" + std::to_string(w);
-      ASSERT_TRUE(profile::register_thread(name.c_str()));
+      profile::register_thread(name.c_str());
       for (std::uint64_t i = 0; i < kSamplesPerWriter; ++i) {
         ScopedSpan outer("torture.outer");
         if ((i & 1) != 0) {
@@ -97,16 +95,14 @@ TEST(ProfileConcurrency, WraparoundTortureWithConcurrentDrains) {
 // CPU inside spans: the timers rearm/disarm under the control mutex while
 // SIGPROF handlers race the reconfiguration, and report() races both.
 TEST(ProfileConcurrency, StartStopReconfigureRaceUnderLoad) {
-  if (!profile::register_thread("torture-main")) {
-    GTEST_SKIP() << "profiler compiled out";
-  }
+  profile::register_thread("torture-main");
   profile::clear();
   std::atomic<bool> stop_burning{false};
   std::vector<std::thread> burners;
   for (int b = 0; b < 3; ++b) {
     burners.emplace_back([b, &stop_burning] {
       const std::string name = "burner-" + std::to_string(b);
-      ASSERT_TRUE(profile::register_thread(name.c_str()));
+      profile::register_thread(name.c_str());
       volatile std::uint64_t sink = 0;
       while (!stop_burning.load(std::memory_order_relaxed)) {
         ScopedSpan span("torture.burn");
@@ -146,9 +142,7 @@ TEST(ProfileConcurrency, StartStopReconfigureRaceUnderLoad) {
 // while journal writers emit and journal drainers merge must not deadlock
 // or race (SIGPROF can land inside journal::emit in production).
 TEST(ProfileConcurrency, SamplingDuringJournalDrain) {
-  if (!profile::register_thread("torture-main")) {
-    GTEST_SKIP() << "profiler compiled out";
-  }
+  profile::register_thread("torture-main");
   profile::clear();
   journal::reset();
   constexpr int kWriters = 3;
@@ -160,7 +154,7 @@ TEST(ProfileConcurrency, SamplingDuringJournalDrain) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([w, &writers_done] {
       const std::string name = "mixed-" + std::to_string(w);
-      ASSERT_TRUE(profile::register_thread(name.c_str()));
+      profile::register_thread(name.c_str());
       for (std::uint64_t i = 0; i < kIters; ++i) {
         ScopedSpan span("torture.mixed");
         journal::emit(journal::Subsystem::kObs, journal::kObLockContended,

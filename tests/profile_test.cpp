@@ -20,10 +20,7 @@ using psf::obs::ScopedSpan;
 
 namespace {
 
-bool registered() {
-  static const bool ok = profile::register_thread("test-main");
-  return ok;
-}
+void register_test_thread() { profile::register_thread("test-main"); }
 
 /// The report entry for the calling test's samples, or nullptr.
 const profile::Report::Entry* find_entry(const profile::Report& report,
@@ -39,7 +36,7 @@ const profile::Report::Entry* find_entry(const profile::Report& report,
 }  // namespace
 
 TEST(Profile, SampleCapturesSpanStackInOrder) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   {
     ScopedSpan outer("profile.test.outer");
@@ -58,7 +55,7 @@ TEST(Profile, SampleCapturesSpanStackInOrder) {
 }
 
 TEST(Profile, SampleWithNoOpenSpanIsJustTheThreadRoot) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   ASSERT_TRUE(profile::sample_current_thread());
   const profile::Report report = profile::report();
@@ -68,7 +65,7 @@ TEST(Profile, SampleWithNoOpenSpanIsJustTheThreadRoot) {
 }
 
 TEST(Profile, LoopPhaseAppearsAsPhaseFrame) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   profile::set_thread_phase(profile::LoopPhase::kTaskRun);
   {
@@ -120,7 +117,7 @@ struct SampleInLockMutex {
 }  // namespace
 
 TEST(Profile, BlockedOnRankedLockShowsLockLeafFrame) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   psf::util::RankedMutex<SampleInLockMutex> mu(
       psf::util::LockRank::kRepository, "profile.test.site");
@@ -143,7 +140,7 @@ TEST(Profile, BlockedOnRankedLockShowsLockLeafFrame) {
 }
 
 TEST(Profile, DeepStackTruncatesKeepingOutermostFrames) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   const std::uint64_t truncated_before = profile::report().truncated;
   // 20 nested spans > kMaxFrames (12) and > the 16-entry name stack.
@@ -178,7 +175,7 @@ TEST(Profile, DeepStackTruncatesKeepingOutermostFrames) {
 }
 
 TEST(Profile, FoldedTextAndSpeedscopeJsonRenderTheEntries) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   {
     ScopedSpan a("profile.test.fold_a");
@@ -211,7 +208,7 @@ TEST(Profile, FoldedTextAndSpeedscopeJsonRenderTheEntries) {
 }
 
 TEST(Profile, StatusJsonCarriesThreadCounters) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   profile::sample_current_thread();
   const std::string status = profile::status_json();
@@ -222,7 +219,7 @@ TEST(Profile, StatusJsonCarriesThreadCounters) {
 }
 
 TEST(Profile, ClearRewindsEntriesButKeepsCumulativeCounters) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::sample_current_thread();
   const std::uint64_t total = profile::report().samples;
   ASSERT_GT(total, 0u);
@@ -233,7 +230,7 @@ TEST(Profile, ClearRewindsEntriesButKeepsCumulativeCounters) {
 }
 
 TEST(Profile, RealTimerSamplesABusySpanAndStopsCleanly) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   profile::clear();
   const std::uint64_t before = profile::report().samples;
   ASSERT_TRUE(profile::start({.interval_us = 500}));
@@ -270,7 +267,7 @@ TEST(Profile, RealTimerSamplesABusySpanAndStopsCleanly) {
 }
 
 TEST(Profile, RestartWhileRunningReconfiguresInterval) {
-  if (!registered()) GTEST_SKIP() << "profiler compiled out";
+  register_test_thread();
   ASSERT_TRUE(profile::start({.interval_us = 1000}));
   EXPECT_EQ(profile::interval_us(), 1000u);
   ASSERT_TRUE(profile::start({.interval_us = 250}));  // reconfigure in place
