@@ -34,7 +34,8 @@ struct Fixture {
     auto view = minilang::instantiate(registry, "ViewMailClient_Member");
     views::attach_cache_manager(view, Value::object(original), policy);
     // Seed the view once (policies without pull never sync on their own).
-    views::merge_instance_image(*view, views::instance_image(*original));
+    views::apply_instance_image(*view,
+                                views::instance_image_since(*original, 0));
     return view;
   }
 
@@ -188,7 +189,7 @@ void BM_ExtractImage(benchmark::State& state) {
   Fixture& f = fixture();
   f.set_state_size(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(views::instance_image(*f.original));
+    benchmark::DoNotOptimize(views::instance_image_since(*f.original, 0));
   }
   f.set_state_size(0);
 }
@@ -197,10 +198,10 @@ BENCHMARK(BM_ExtractImage)->Arg(16)->Arg(128)->Arg(1024);
 void BM_MergeImage(benchmark::State& state) {
   Fixture& f = fixture();
   f.set_state_size(static_cast<int>(state.range(0)));
-  const util::Bytes image = views::instance_image(*f.original);
+  const util::Bytes image = views::instance_image_since(*f.original, 0);
   auto target = minilang::instantiate(f.registry, "MailClient");
   for (auto _ : state) {
-    views::merge_instance_image(*target, image);
+    views::apply_instance_image(*target, image);
   }
   f.set_state_size(0);
 }

@@ -1,5 +1,6 @@
 #include "minilang/object.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "minilang/compile.hpp"
@@ -137,60 +138,53 @@ Instance::Instance(std::shared_ptr<const ClassDef> cls,
   // whole lifetime (the layout the bytecode compiler resolves against).
   field_slots_.reserve(fields_.size());
   for (auto it = fields_.begin(); it != fields_.end(); ++it) {
-    field_slots_.push_back(it);
+    field_slots_.push_back(FieldSlot{it});
   }
+}
+
+std::size_t Instance::slot_of(const std::string& name) const {
+  auto it = std::lower_bound(field_slots_.begin(), field_slots_.end(), name,
+                             [](const FieldSlot& s, const std::string& n) {
+                               return s.field->first < n;
+                             });
+  if (it == field_slots_.end() || it->field->first != name) {
+    throw EvalError("no field '" + name + "' on " + cls_->name);
+  }
+  return static_cast<std::size_t>(it - field_slots_.begin());
 }
 
 Value Instance::get_field(const std::string& name) const {
-  auto it = fields_.find(name);
-  if (it == fields_.end()) {
-    throw EvalError("no field '" + name + "' on " + cls_->name);
-  }
-  return it->second;
+  return get_field_slot(slot_of(name));
 }
 
 void Instance::set_field(const std::string& name, Value value) {
-  auto it = fields_.find(name);
-  if (it == fields_.end()) {
-    throw EvalError("no field '" + name + "' on " + cls_->name);
-  }
-  it->second = std::move(value);
-  field_versions_[name] = ++version_;
-  // A direct write invalidates any fingerprint recorded for the old value;
-  // drop it so a later in-place mutation of the new container is not masked.
-  field_fingerprints_.erase(name);
+  set_field_slot(slot_of(name), std::move(value));
 }
 
 void Instance::set_field_slot(std::size_t slot, Value value) {
-  // Must mirror set_field's dirty-tracking side effects exactly: delta
-  // coherence reads field_versions_ to decide what to ship.
-  auto it = field_slots_[slot];
-  it->second = std::move(value);
-  field_versions_[it->first] = ++version_;
-  field_fingerprints_.erase(it->first);
+  FieldSlot& s = field_slots_[slot];
+  s.field->second = std::move(value);
+  s.version = ++version_;
+  // A direct write invalidates any fingerprint recorded for the old value;
+  // drop it so a later in-place mutation of the new container is not masked.
+  s.fingerprint = 0;
 }
 
 bool Instance::has_field(const std::string& name) const {
   return fields_.count(name) > 0;
 }
 
-std::uint64_t Instance::field_version(const std::string& name) const {
-  auto it = field_versions_.find(name);
-  return it == field_versions_.end() ? 0 : it->second;
-}
-
-void Instance::note_field_fingerprint(const std::string& name,
+void Instance::note_field_fingerprint(std::size_t slot,
                                       std::uint64_t fingerprint) const {
-  auto it = field_fingerprints_.find(name);
-  if (it == field_fingerprints_.end()) {
+  FieldSlot& s = field_slots_[slot];
+  if (fingerprint == 0) fingerprint = 1;  // 0 is the "none recorded" mark
+  if (s.fingerprint == 0) {
     // First observation: record without bumping — the value is whatever the
-    // last set_field (or the initializer) produced, already versioned.
-    field_fingerprints_[name] = fingerprint;
-    return;
-  }
-  if (it->second != fingerprint) {
-    it->second = fingerprint;
-    field_versions_[name] = ++version_;
+    // last write (or the initializer) produced, already versioned.
+    s.fingerprint = fingerprint;
+  } else if (s.fingerprint != fingerprint) {
+    s.fingerprint = fingerprint;
+    s.version = ++version_;
   }
 }
 

@@ -159,19 +159,20 @@ class Instance : public CallTarget,
   // compiler derives the same indices from the class's field set, so a slot
   // resolved at compile time stays valid for every instance of that class.
   const Value& get_field_slot(std::size_t slot) const {
-    return field_slots_[slot]->second;
+    return field_slots_[slot].field->second;
   }
   void set_field_slot(std::size_t slot, Value value);
 
   // --- field-level dirty tracking (views delta coherence) ---
   //
-  // Every set_field bumps a monotonic per-instance counter and stamps the
-  // written field with it, so a coherence peer that remembers the version it
+  // Every write bumps a monotonic per-instance counter and stamps the
+  // written slot with it, so a coherence peer that remembers the version it
   // last merged can request exactly the fields dirtied since. Fields holding
-  // reference-semantics containers (lists/maps) can mutate *without* going
-  // through set_field — `push(notes, x)` writes through the shared pointer —
-  // so extractors additionally call note_field_fingerprint with a content
-  // fingerprint; a changed fingerprint bumps the field like a write would.
+  // reference-semantics containers (lists/maps) can mutate *without* a
+  // write — `push(notes, x)` goes through the shared pointer — so extractors
+  // additionally call note_field_fingerprint with a content fingerprint; a
+  // changed fingerprint bumps the slot like a write would. Both stamps live
+  // beside the slot's field iterator: one array, sized at construction.
 
   /// Stable per-process identity; peers use it to detect that "version N"
   /// refers to a different object generation (restart, rewire) and fall
@@ -181,28 +182,36 @@ class Instance : public CallTarget,
   /// Monotonic mutation counter; 0 = untouched since construction.
   std::uint64_t state_version() const { return version_; }
 
-  /// Version at which `name` was last written (0 = initial value only).
-  std::uint64_t field_version(const std::string& name) const;
+  /// Version at which field `slot` was last written (0 = initial value only).
+  std::uint64_t field_version(std::size_t slot) const {
+    return field_slots_[slot].version;
+  }
 
   /// Compare-and-bump for container fields: if `fingerprint` differs from
-  /// the one recorded for `name`, the field is stamped with a fresh version.
+  /// the one recorded for `slot`, the field is stamped with a fresh version.
   /// Const because it only *discovers* a mutation that already happened
   /// through the shared container — extractors run it on const instances.
-  void note_field_fingerprint(const std::string& name,
+  void note_field_fingerprint(std::size_t slot,
                               std::uint64_t fingerprint) const;
 
   void set_hooks(std::shared_ptr<MethodHooks> hooks) { hooks_ = std::move(hooks); }
   MethodHooks* hooks() const { return hooks_.get(); }
 
  private:
+  struct FieldSlot {
+    ValueMap::iterator field;  // std::map iterators: stable
+    std::uint64_t version = 0;
+    std::uint64_t fingerprint = 0;  // 0 = none recorded since the last write
+  };
+
+  std::size_t slot_of(const std::string& name) const;
+
   std::shared_ptr<const ClassDef> cls_;
   const ClassRegistry* registry_;
   ValueMap fields_;
-  std::vector<ValueMap::iterator> field_slots_;  // std::map iterators: stable
+  mutable std::vector<FieldSlot> field_slots_;
   std::uint64_t uid_;
   mutable std::uint64_t version_ = 0;
-  mutable std::map<std::string, std::uint64_t> field_versions_;
-  mutable std::map<std::string, std::uint64_t> field_fingerprints_;
   std::shared_ptr<MethodHooks> hooks_;
 };
 

@@ -1,5 +1,7 @@
 #include "minilang/value_codec.hpp"
 
+#include <algorithm>
+
 namespace psf::minilang {
 
 namespace {
@@ -72,11 +74,22 @@ std::size_t size_of(const Value& v) {
                   " (use an rmi or switchboard interface instead)");
 }
 
+// Smallest encodings: a list item is at least a tag byte, a map entry a
+// key length plus a tag byte. A count that the remaining input cannot hold
+// at that size is corrupt.
+constexpr std::size_t kMinItemBytes = 1;
+constexpr std::size_t kMinEntryBytes = 4 + 1;
+constexpr std::size_t kMaxTrustedReserve = 16;
+
 struct Reader {
   const util::Bytes& data;
   std::size_t pos = 0;
 
   bool fail = false;
+
+  bool can_hold(std::uint32_t count, std::size_t min_bytes) const {
+    return static_cast<std::size_t>(count) <= (data.size() - pos) / min_bytes;
+  }
 
   std::uint8_t u8() {
     if (pos >= data.size()) {
@@ -145,12 +158,14 @@ Value decode_one(Reader& r, int depth) {
     }
     case kTagList: {
       const std::uint32_t n = r.u32();
-      if (static_cast<std::size_t>(n) > r.data.size()) {  // sanity vs corrupt
+      if (!r.can_hold(n, kMinItemBytes)) {
         r.fail = true;
         return Value::null();
       }
+      // A count is untrusted until its items decode: reserve at most a few
+      // slots, so nested headers cannot multiply one claim per level.
       ValueList items;
-      items.reserve(n);
+      items.reserve(std::min<std::size_t>(n, kMaxTrustedReserve));
       for (std::uint32_t i = 0; i < n && !r.fail; ++i) {
         items.push_back(decode_one(r, depth + 1));
       }
@@ -158,7 +173,7 @@ Value decode_one(Reader& r, int depth) {
     }
     case kTagMap: {
       const std::uint32_t n = r.u32();
-      if (static_cast<std::size_t>(n) > r.data.size()) {
+      if (!r.can_hold(n, kMinEntryBytes)) {
         r.fail = true;
         return Value::null();
       }
@@ -222,11 +237,11 @@ void encode_values_into(const std::vector<Value>& values, util::Bytes& out) {
 util::Result<std::vector<Value>> decode_values(const util::Bytes& data) {
   Reader r{data};
   const std::uint32_t n = r.u32();
-  if (static_cast<std::size_t>(n) > data.size()) {
+  if (r.fail || !r.can_hold(n, kMinItemBytes)) {
     return util::Result<std::vector<Value>>::failure("codec", "bad count");
   }
   std::vector<Value> out;
-  out.reserve(n);
+  out.reserve(std::min<std::size_t>(n, kMaxTrustedReserve));
   for (std::uint32_t i = 0; i < n && !r.fail; ++i) {
     out.push_back(decode_one(r, 0));
   }

@@ -12,6 +12,7 @@ namespace psf::views {
 
 using minilang::Instance;
 using minilang::Value;
+using minilang::ValueMap;
 
 namespace {
 // View cache-coherence instrumentation (psf.views.cache.*).
@@ -111,42 +112,38 @@ std::shared_ptr<CacheManager> attach_cache_manager(
 }
 
 util::Bytes CacheManager::extract_from_original(Instance& original) {
-  if (pull_uid_ == original.uid()) {
-    // Same epoch as the last merged pull: only the fields dirtied since.
-    return instance_image_since(original, pull_version_);
-  }
-  // First sync or epoch change (uid mismatch): full framed image.
-  ++stats_.full_syncs;
-  return instance_image_framed(original);
+  return image_for_peer(original, pull_uid_, pull_version_);
 }
 
 void CacheManager::merge_pull(Instance& view, const util::Bytes& image) {
   ImageFrame frame;
-  if (apply_instance_image(view, image, &frame)) {
-    if (frame.is_delta()) {
-      ++stats_.delta_pulls;
-    } else if (pull_uid_ != 0) {
-      ++stats_.full_syncs;  // remote epoch change forced a full resync
-    }
-    pull_uid_ = frame.uid;
-    pull_version_ = frame.to_version;
+  if (read_image_frame(image, frame) && frame.is_delta() &&
+      (frame.uid != pull_uid_ || frame.from_version != pull_version_)) {
+    throw MalformedImage("delta does not continue the pull sync point");
   }
+  frame = apply_instance_image(view, image);
+  if (frame.is_delta()) {
+    ++stats_.delta_pulls;
+  } else {
+    ++stats_.full_syncs;  // first sync or epoch change
+  }
+  pull_uid_ = frame.uid;
+  pull_version_ = frame.to_version;
 }
 
 util::Bytes CacheManager::extract_push(Instance& view) {
-  util::Bytes image;
-  if (push_synced_) {
-    image = instance_image_since(view, push_version_);
-    ++stats_.delta_pushes;
-  } else {
-    image = instance_image_framed(view);
-    ++stats_.full_syncs;
-  }
+  util::Bytes image = instance_image_since(view, push_version_);
+  if (push_version_ != 0) ++stats_.delta_pushes;
   // Extraction itself can advance the version (container fingerprints), so
   // the staged sync point is read *after* the image is built; committed by
   // note_push_applied() once the merge into the original succeeds.
   pending_push_version_ = view.state_version();
   return image;
+}
+
+void CacheManager::note_push_applied() {
+  if (push_version_ == 0) ++stats_.full_syncs;  // the push was a full image
+  push_version_ = pending_push_version_;
 }
 
 namespace {
@@ -157,7 +154,6 @@ bool is_wiring_field_name(const std::string& name) {
 }
 
 constexpr std::string_view kImageMagic = "VDI1";
-constexpr std::size_t kImageHeaderSize = 4 + 8 + 8 + 8;
 
 std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data,
                     std::size_t len) {
@@ -208,96 +204,62 @@ std::uint64_t fingerprint_into(std::uint64_t h, const Value& v) {
                    reinterpret_cast<std::uintptr_t>(v.as_object().get()));
 }
 
-/// Refresh the dirty-tracking fingerprints of every serializable container
-/// field. Containers mutate in place through their shared pointers without
-/// set_field, so every extract runs this first — a changed fingerprint bumps
-/// the field's version exactly like a write would, which keeps delta images
-/// honest. The invariant "every extract primes" also means a first full sync
-/// records the baseline every later delta is diffed against.
-void prime_container_fingerprints(const Instance& instance) {
-  for (const auto& [name, value] : instance.fields()) {
-    if (is_wiring_field_name(name) || value.is_object()) continue;
-    if (!value.is_list() && !value.is_map()) continue;
-    instance.note_field_fingerprint(name,
-                                    fingerprint_into(0xcbf29ce484222325ULL,
-                                                     value));
-  }
-}
-
-/// Shared tail of every extract: serialize `image`, optionally framed.
-util::Bytes encode_image(minilang::ValueMap image, const Instance& instance,
-                         bool framed, std::uint64_t from_version,
-                         std::size_t* field_count) {
-  if (field_count != nullptr) *field_count = image.size();
-  const Value map = Value::map(std::move(image));
-  util::Bytes encoded;
-  if (framed) {
-    encoded.reserve(kImageHeaderSize + minilang::encoded_size(map));
-    util::append(encoded, kImageMagic);
-    util::put_u64_be(encoded, instance.uid());
-    util::put_u64_be(encoded, from_version);
-    util::put_u64_be(encoded, instance.state_version());
-    minilang::encode_value_into(map, encoded);
-  } else {
-    encoded = minilang::encode_value(map);
-  }
-  CacheMetrics& metrics = CacheMetrics::get();
-  metrics.extracts.inc();
-  metrics.image_bytes.observe(static_cast<std::int64_t>(encoded.size()));
-  return encoded;
-}
-
 }  // namespace
-
-std::uint64_t fingerprint_value(const Value& value) {
-  return fingerprint_into(0xcbf29ce484222325ULL, value);  // FNV offset basis
-}
-
-util::Bytes instance_image(const Instance& instance) {
-  prime_container_fingerprints(instance);
-  minilang::ValueMap image;
-  for (const auto& [name, value] : instance.fields()) {
-    if (is_wiring_field_name(name) || value.is_object()) continue;
-    image[name] = value;
-  }
-  return encode_image(std::move(image), instance, /*framed=*/false, 0,
-                      nullptr);
-}
-
-util::Bytes instance_image_framed(const Instance& instance) {
-  prime_container_fingerprints(instance);
-  minilang::ValueMap image;
-  for (const auto& [name, value] : instance.fields()) {
-    if (is_wiring_field_name(name) || value.is_object()) continue;
-    image[name] = value;
-  }
-  CacheMetrics::get().delta_full_syncs.inc();
-  util::Bytes framed = encode_image(std::move(image), instance,
-                                    /*framed=*/true, 0, nullptr);
-  obs::journal::emit(obs::journal::Subsystem::kViews,
-                     obs::journal::kViFullImageFallback, instance.uid(),
-                     framed.size());
-  return framed;
-}
 
 util::Bytes instance_image_since(const Instance& instance,
                                  std::uint64_t since_version) {
-  if (since_version == 0) return instance_image_framed(instance);
-  prime_container_fingerprints(instance);
-  minilang::ValueMap image;
+  // One walk over the slots. Containers mutate in place through their
+  // shared pointers without a write, so each serializable container field
+  // is fingerprinted first — a changed fingerprint bumps the slot exactly
+  // like a write would, which keeps deltas honest. Every extract primes, so
+  // a first full sync records the baseline every later delta is diffed
+  // against.
+  ValueMap image;
+  std::size_t slot = 0;
   for (const auto& [name, value] : instance.fields()) {
+    const std::size_t s = slot++;
     if (is_wiring_field_name(name) || value.is_object()) continue;
-    if (instance.field_version(name) <= since_version) continue;
-    image[name] = value;
+    if (value.is_list() || value.is_map()) {
+      instance.note_field_fingerprint(
+          s, fingerprint_into(0xcbf29ce484222325ULL, value));  // FNV basis
+    }
+    if (since_version != 0 && instance.field_version(s) <= since_version) {
+      continue;
+    }
+    image.emplace_hint(image.end(), name, value);
   }
-  std::size_t fields = 0;
-  util::Bytes encoded = encode_image(std::move(image), instance,
-                                     /*framed=*/true, since_version, &fields);
+
+  const std::size_t fields = image.size();
+  const Value map = Value::map(std::move(image));
+  util::Bytes encoded;
+  encoded.reserve(kImageHeaderSize + minilang::encoded_size(map));
+  util::append(encoded, kImageMagic);
+  util::put_u64_be(encoded, instance.uid());
+  util::put_u64_be(encoded, since_version);
+  util::put_u64_be(encoded, instance.state_version());
+  minilang::encode_value_into(map, encoded);
+
   CacheMetrics& metrics = CacheMetrics::get();
-  metrics.delta_images.inc();
-  metrics.delta_fields.inc(static_cast<std::int64_t>(fields));
-  metrics.delta_bytes.observe(static_cast<std::int64_t>(encoded.size()));
+  metrics.extracts.inc();
+  metrics.image_bytes.observe(static_cast<std::int64_t>(encoded.size()));
+  if (since_version == 0) {
+    metrics.delta_full_syncs.inc();
+    obs::journal::emit(obs::journal::Subsystem::kViews,
+                       obs::journal::kViFullImageFallback, instance.uid(),
+                       encoded.size());
+  } else {
+    metrics.delta_images.inc();
+    metrics.delta_fields.inc(static_cast<std::int64_t>(fields));
+    metrics.delta_bytes.observe(static_cast<std::int64_t>(encoded.size()));
+  }
   return encoded;
+}
+
+util::Bytes image_for_peer(const Instance& instance, std::uint64_t uid,
+                           std::uint64_t since) {
+  const bool same_epoch =
+      uid == instance.uid() && since <= instance.state_version();
+  return instance_image_since(instance, same_epoch ? since : 0);
 }
 
 bool read_image_frame(const util::Bytes& image, ImageFrame& frame) {
@@ -308,38 +270,38 @@ bool read_image_frame(const util::Bytes& image, ImageFrame& frame) {
   frame.uid = util::get_u64_be(image, 4);
   frame.from_version = util::get_u64_be(image, 12);
   frame.to_version = util::get_u64_be(image, 20);
-  return true;
+  return frame.from_version <= frame.to_version;
 }
 
-bool apply_instance_image(Instance& instance, const util::Bytes& image,
-                          ImageFrame* frame) {
-  if (frame != nullptr) *frame = ImageFrame{};
-  if (image.empty()) return false;
+ImageFrame apply_instance_image(Instance& instance, const util::Bytes& image) {
+  ImageFrame frame;
+  if (!read_image_frame(image, frame)) throw MalformedImage("bad VDI1 header");
   CacheMetrics::get().merges.inc();
-  ImageFrame header;
-  const bool framed = read_image_frame(image, header);
-  if (frame != nullptr && framed) *frame = header;
-  util::Result<Value> decoded =
-      framed ? minilang::decode_value(util::Bytes(
-                   image.begin() + static_cast<std::ptrdiff_t>(kImageHeaderSize),
-                   image.end()))
-             : minilang::decode_value(image);
+  const util::Result<Value> decoded = minilang::decode_value(util::Bytes(
+      image.begin() + static_cast<std::ptrdiff_t>(kImageHeaderSize),
+      image.end()));
   if (!decoded.ok() || !decoded.value().is_map()) {
-    throw minilang::EvalError("mergeImage: malformed image");
+    throw MalformedImage("body is not one encoded field map");
   }
+  // Both maps iterate in name order, so one merge walk pairs image entries
+  // with slots.
+  const ValueMap& fields = instance.fields();
+  auto field = fields.begin();
+  std::size_t slot = 0;
   for (const auto& [name, value] : *decoded.value().as_map()) {
-    if (!instance.has_field(name) || is_wiring_field_name(name)) continue;
+    while (field != fields.end() && field->first < name) {
+      ++field;
+      ++slot;
+    }
+    if (field == fields.end()) break;
+    if (field->first != name || is_wiring_field_name(name)) continue;
     // Idempotent apply: only write fields that actually changed, so a pull
     // does not dirty the receiver and echo every field back on its next
     // push (delta amplification).
-    if (instance.get_field(name).equals(value)) continue;
-    instance.set_field(name, value);
+    if (field->second.equals(value)) continue;
+    instance.set_field_slot(slot, value);
   }
-  return framed;
-}
-
-void merge_instance_image(Instance& instance, const util::Bytes& image) {
-  apply_instance_image(instance, image, nullptr);
+  return frame;
 }
 
 Value ImageEndpoint::call(const std::string& method,
@@ -350,23 +312,19 @@ Value ImageEndpoint::call(const std::string& method,
   // propagate along replica chains.
   auto* cache = dynamic_cast<CacheManager*>(target_->hooks());
   if (method == "extractImageFromView" || method == "extractImageFromObj") {
-    if (cache != nullptr) cache->acquire_image(*target_);
-    if (args.size() == 2) {
-      // Delta request: (uid, version) is the caller's pull sync point. Serve
-      // a delta only inside the same epoch and never from the future;
-      // anything else gets a framed full image the caller resyncs from.
-      const auto uid = static_cast<std::uint64_t>(args[0].as_int());
-      const auto since = static_cast<std::uint64_t>(args[1].as_int());
-      if (uid == target_->uid() && since <= target_->state_version()) {
-        return Value::bytes(instance_image_since(*target_, since));
-      }
-      return Value::bytes(instance_image_framed(*target_));
+    // (uid, since) is the caller's pull sync point, (0, 0) before its first
+    // sync.
+    if (args.size() != 2 || !args[0].is_int() || !args[1].is_int()) {
+      throw minilang::EvalError("extractImage: expects (uid, since)");
     }
-    return Value::bytes(instance_image(*target_));
+    if (cache != nullptr) cache->acquire_image(*target_);
+    return Value::bytes(
+        image_for_peer(*target_, static_cast<std::uint64_t>(args[0].as_int()),
+                       static_cast<std::uint64_t>(args[1].as_int())));
   }
   if (method == "mergeImageIntoView" || method == "mergeImageIntoObj") {
     if (args.size() != 1) throw minilang::EvalError("mergeImage: bad arity");
-    merge_instance_image(*target_, args[0].as_bytes());
+    apply_instance_image(*target_, args[0].as_bytes());
     if (cache != nullptr) cache->release_image(*target_);
     return Value::null();
   }

@@ -32,7 +32,6 @@ class CacheManager : public minilang::MethodHooks {
   const minilang::Value& original() const { return original_; }
 
   Policy policy() const { return policy_; }
-  void set_policy(Policy policy) { policy_ = policy; }
 
   // MethodHooks: acquireImage / releaseImage brackets.
   void before_method(minilang::Instance& self,
@@ -45,8 +44,8 @@ class CacheManager : public minilang::MethodHooks {
   void release_image(minilang::Instance& self);
 
   /// True while this manager is driving a coherence bracket. The VIG default
-  /// natives use it to tell a bracket-driven invocation (delta tracking
-  /// applies) from a direct external call (legacy peer-agnostic image).
+  /// natives use it to tell a bracket-driven invocation (this manager's sync
+  /// points apply) from a direct external call (always a full image).
   bool in_coherence() const { return in_coherence_; }
 
   // --- delta coherence (used by the VIG default coherence natives) ---
@@ -55,35 +54,30 @@ class CacheManager : public minilang::MethodHooks {
   // last successful exchange: (uid, state_version) of the original for
   // pulls, and the view's own state_version for pushes. Within an epoch
   // (same uid), subsequent images carry only the fields dirtied since that
-  // version; a first sync or a uid change (restart, rewire) falls back to a
-  // framed full image.
+  // version; a first sync or a uid change (restart, rewire) gets a full
+  // image. The original decides which (image_for_peer), local or remote.
 
-  /// Pull-side extract against a *local* original: a delta image when this
-  /// manager is in sync with `original`'s epoch, a framed full otherwise.
+  /// Pull-side extract against a *local* original: image_for_peer at this
+  /// manager's pull sync point.
   util::Bytes extract_from_original(minilang::Instance& original);
 
-  /// Sync point to send with a *remote* delta pull request (uid, version);
-  /// (0, 0) before the first sync.
+  /// Sync point every pull sends, local or remote: (uid, version) of the
+  /// last merged pull, (0, 0) before the first sync.
   std::pair<std::uint64_t, std::uint64_t> pull_sync() const {
     return {pull_uid_, pull_version_};
   }
 
-  /// Does the remote original's endpoint accept delta requests? Starts
-  /// optimistic; cleared after the first rejection so every later pull goes
-  /// straight to the legacy full-image call.
-  bool peer_supports_delta() const { return peer_supports_delta_; }
-  void note_peer_rejects_delta() { peer_supports_delta_ = false; }
-
-  /// Apply a pulled image (legacy full, framed full, or delta) into the
-  /// view, advancing the pull sync point when the image is framed.
+  /// Apply a pulled image into the view and advance the pull sync point. A
+  /// delta must continue from the current sync point (same uid, from_version
+  /// == pull version); anything else is a MalformedImage.
   void merge_pull(minilang::Instance& view, const util::Bytes& image);
 
   /// Push-side extract of the view's own state: delta since the last
-  /// *applied* push, framed full on the first push. The new sync point is
-  /// staged and only committed by note_push_applied(), so a failed push
-  /// cannot silently drop updates.
+  /// *applied* push, full on the first push. The new sync point is staged
+  /// and only committed by note_push_applied(), so a failed push cannot
+  /// silently drop updates.
   util::Bytes extract_push(minilang::Instance& view);
-  void note_push_applied() { push_version_ = pending_push_version_; push_synced_ = true; }
+  void note_push_applied();
 
   struct Stats {
     std::uint64_t acquires = 0;
@@ -92,8 +86,8 @@ class CacheManager : public minilang::MethodHooks {
     std::uint64_t pushes = 0;  // images written back
     std::uint64_t delta_pulls = 0;   // pulls satisfied by a delta image
     std::uint64_t delta_pushes = 0;  // pushes carrying a delta image
-    std::uint64_t full_syncs = 0;    // framed full images (first sync or
-                                     // epoch fallback), either direction
+    std::uint64_t full_syncs = 0;    // full images merged (first sync or
+                                     // epoch change), either direction
   };
   const Stats& stats() const { return stats_; }
 
@@ -107,10 +101,9 @@ class CacheManager : public minilang::MethodHooks {
   // pull. uid 0 = never synced (instance uids start at 1).
   std::uint64_t pull_uid_ = 0;
   std::uint64_t pull_version_ = 0;
-  bool peer_supports_delta_ = true;
 
-  // Push epoch: the view's own state_version as of the last applied push.
-  bool push_synced_ = false;
+  // Push epoch: the view's own state_version as of the last applied push;
+  // 0 = the next push is a full image.
   std::uint64_t push_version_ = 0;
   std::uint64_t pending_push_version_ = 0;
 };
@@ -121,23 +114,17 @@ std::shared_ptr<CacheManager> attach_cache_manager(
     const std::shared_ptr<minilang::Instance>& view, minilang::Value original,
     CacheManager::Policy policy = CacheManager::Policy::kPullPush);
 
-/// Snapshot an instance's serializable state (all fields except wiring
-/// fields — cacheManager, *_rmi, *_switch — and object references) as an
-/// image; the byte[] the paper's coherence methods exchange. This legacy
-/// form is a plain encoded map, byte-identical to pre-delta releases.
-util::Bytes instance_image(const minilang::Instance& instance);
-
-// --- framed images (delta coherence wire format) ---
+// --- images (the byte[] the paper's coherence methods exchange) ---
 //
-// A framed image prefixes the encoded field map with
-//   magic "VDI1" (4) | uid (8, BE) | from_version (8) | to_version (8)
+// An image carries an instance's serializable state: every field except
+// wiring fields (cacheManager, *_rmi, *_switch) and object references. It is
+// framed as
+//   magic "VDI1" (4) | uid (8, BE) | from_version (8) | to_version (8) | map
 // so the receiver can track the sender's epoch. from_version == 0 marks a
 // full image (every serializable field); from_version > 0 marks a delta
-// carrying only fields dirtied in (from_version, to_version]. The magic
-// byte 'V' (0x56) never collides with a plain map encoding (tag 0x07), so
-// merge_instance_image accepts all three forms.
+// carrying only fields dirtied in (from_version, to_version].
 
-/// Header of a framed image.
+/// Header of an image.
 struct ImageFrame {
   std::uint64_t uid = 0;
   std::uint64_t from_version = 0;  // 0 = full image
@@ -145,38 +132,47 @@ struct ImageFrame {
   bool is_delta() const { return from_version != 0; }
 };
 
-/// Parse a framed header; returns false for legacy plain images.
+/// Size of the VDI1 header; the encoded field map (the image body) follows.
+inline constexpr std::size_t kImageHeaderSize = 4 + 8 + 8 + 8;
+
+/// The one rejection of an image: anything that is not a valid VDI1 image
+/// (short or foreign header, from_version > to_version, a body that is not
+/// exactly one encoded map), or a delta that does not continue the
+/// receiver's sync point.
+class MalformedImage : public minilang::EvalError {
+ public:
+  explicit MalformedImage(const std::string& why)
+      : EvalError("mergeImage: malformed image: " + why) {}
+};
+
+/// Parse the header; false on a short or foreign header or
+/// from_version > to_version.
 bool read_image_frame(const util::Bytes& image, ImageFrame& frame);
 
-/// Full image framed with the instance's (uid, state_version).
-util::Bytes instance_image_framed(const minilang::Instance& instance);
-
-/// Delta image: only fields dirtied after `since_version` (framed with
-/// from_version = since_version). Callers must have confirmed the uid.
+/// Image of `instance` holding the fields dirtied after `since_version`
+/// (framed with from_version = since_version); since_version == 0 is the
+/// full image. Callers must have confirmed the uid.
 util::Bytes instance_image_since(const minilang::Instance& instance,
                                  std::uint64_t since_version);
 
-/// Structural content hash used to detect in-place container mutation
-/// (lists/maps mutate through their shared pointers without set_field).
-std::uint64_t fingerprint_value(const minilang::Value& value);
+/// The one delta-or-full rule, for a peer whose sync point is (uid, since):
+/// a delta inside the same epoch and never from the future, a full image
+/// otherwise. Local pulls and ImageEndpoint both serve through it.
+util::Bytes image_for_peer(const minilang::Instance& instance,
+                           std::uint64_t uid, std::uint64_t since);
 
-/// Apply an image (any form): set every matching non-wiring field whose
-/// value actually changed — the equality check keeps a pull from dirtying
-/// the receiver and echoing every pulled field back on the next push. If
-/// `frame` is non-null it receives the parsed header; returns true when the
-/// image was framed.
-bool apply_instance_image(minilang::Instance& instance,
-                          const util::Bytes& image, ImageFrame* frame);
-
-/// Apply an image (legacy entry point; forwards to apply_instance_image).
-void merge_instance_image(minilang::Instance& instance,
-                          const util::Bytes& image);
+/// Apply an image: set every matching non-wiring field whose value actually
+/// changed — the equality check keeps a pull from dirtying the receiver and
+/// echoing every pulled field back on the next push. Returns the header;
+/// throws MalformedImage (and applies nothing) on an invalid image.
+ImageFrame apply_instance_image(minilang::Instance& instance,
+                                const util::Bytes& image);
 
 /// Remote coherence endpoint: wraps a (non-view) instance so that peers can
-/// fetch/apply its image with extractImageFromView / mergeImageIntoView
-/// calls, while all other methods pass through. This is how a view's
-/// default coherence handlers talk to an original object across the
-/// network.
+/// fetch/apply its image with extractImageFromView(uid, since) /
+/// mergeImageIntoView(image) calls, while all other methods pass through.
+/// This is how a view's default coherence handlers talk to an original
+/// object across the network.
 class ImageEndpoint : public minilang::CallTarget {
  public:
   explicit ImageEndpoint(std::shared_ptr<minilang::Instance> target)

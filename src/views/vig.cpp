@@ -89,9 +89,9 @@ bool strip_enabled() {
 }
 
 // ---- default coherence handlers (VigOptions::auto_coherence) ----
-// The image is the encoded map of the view's serializable fields (see
-// views::instance_image); stub/cacheManager fields and object-valued fields
-// are excluded (they are not state, they are wiring).
+// The image is the VDI1-framed map of the view's serializable fields (see
+// views::instance_image_since); stub/cacheManager fields and object-valued
+// fields are excluded (they are not state, they are wiring).
 
 /// The original object the view represents, as wired by the deployment
 /// infrastructure through the CacheManager hooks; null Value if unwired.
@@ -113,8 +113,8 @@ MethodDef make_native(const std::string& name, std::vector<std::string> params,
 }
 
 /// The CacheManager driving the current coherence bracket, or nullptr for a
-/// direct external invocation (which must keep the legacy, peer-agnostic
-/// image behaviour — delta sync state belongs to the bracket's peer only).
+/// direct external invocation, which always gets a full image — sync points
+/// belong to the bracket's peer only.
 CacheManager* coherence_cache_of(Instance& self) {
   auto* cache = dynamic_cast<CacheManager*>(self.hooks());
   return cache != nullptr && cache->in_coherence() ? cache : nullptr;
@@ -130,7 +130,7 @@ std::vector<MethodDef> default_coherence_methods() {
         if (CacheManager* cache = coherence_cache_of(self)) {
           return Value::bytes(cache->extract_push(self));
         }
-        return Value::bytes(instance_image(self));
+        return Value::bytes(instance_image_since(self, 0));
       },
       "/* VIG default: encode the view's serializable fields */"));
   out.push_back(make_native(
@@ -140,7 +140,7 @@ std::vector<MethodDef> default_coherence_methods() {
         if (CacheManager* cache = coherence_cache_of(self)) {
           cache->merge_pull(self, args[0].as_bytes());
         } else {
-          merge_instance_image(self, args[0].as_bytes());
+          apply_instance_image(self, args[0].as_bytes());
         }
         return Value::null();
       },
@@ -150,31 +150,20 @@ std::vector<MethodDef> default_coherence_methods() {
       [](Instance& self, std::vector<Value>) {
         Value original = original_of(self);
         if (original.is_null()) return Value::bytes({});
+        // Every pull names the sync point it continues from; a direct call
+        // has none, so (0, 0) gets it a full image.
         CacheManager* cache = coherence_cache_of(self);
-        auto instance =
-            std::dynamic_pointer_cast<Instance>(original.as_object());
-        if (instance == nullptr) {
-          // Remote original: ask for a delta since our sync point. Peers
-          // that predate the delta protocol reject the two extra arguments;
-          // remember the rejection and use the legacy full fetch from then
-          // on.
-          if (cache != nullptr && cache->peer_supports_delta()) {
-            const auto [uid, version] = cache->pull_sync();
-            try {
-              return original.as_object()->call(
-                  "extractImageFromView",
-                  {Value::integer(static_cast<std::int64_t>(uid)),
-                   Value::integer(static_cast<std::int64_t>(version))});
-            } catch (const minilang::EvalError&) {
-              cache->note_peer_rejects_delta();
-            }
-          }
-          return original.as_object()->call("extractImageFromView", {});
+        const auto [uid, since] =
+            cache != nullptr ? cache->pull_sync()
+                             : std::pair<std::uint64_t, std::uint64_t>{0, 0};
+        if (auto instance =
+                std::dynamic_pointer_cast<Instance>(original.as_object())) {
+          return Value::bytes(image_for_peer(*instance, uid, since));
         }
-        if (cache != nullptr) {
-          return Value::bytes(cache->extract_from_original(*instance));
-        }
-        return Value::bytes(instance_image(*instance));
+        return original.as_object()->call(
+            "extractImageFromView",
+            {Value::integer(static_cast<std::int64_t>(uid)),
+             Value::integer(static_cast<std::int64_t>(since))});
       },
       "/* VIG default: snapshot the original object's shared fields */"));
   out.push_back(make_native(
@@ -188,7 +177,7 @@ std::vector<MethodDef> default_coherence_methods() {
         if (instance == nullptr) {
           original.as_object()->call("mergeImageIntoView", {args[0]});
         } else {
-          merge_instance_image(*instance, args[0].as_bytes());
+          apply_instance_image(*instance, args[0].as_bytes());
         }
         // The push reached the original: commit the staged sync point so
         // the next push can be a delta.

@@ -68,7 +68,7 @@ std::string call_outcome(const std::shared_ptr<Instance>& self,
 }
 
 // Serializable field state (object-valued fields carry no stable printable
-// identity and are excluded, mirroring views::instance_image).
+// identity and are excluded, mirroring views::instance_image_since).
 std::string field_snapshot(const ClassRegistry& registry, Instance& self) {
   std::ostringstream os;
   for (const auto* field : registry.all_fields(self.cls())) {
@@ -105,7 +105,12 @@ std::string transcript(const ClassRegistry& registry,
        << "\n";
   }
   os << "-- fields --\n" << field_snapshot(registry, *self);
-  os << "-- image --\n" << util::to_hex(views::instance_image(*self)) << "\n";
+  // The image body: the header carries the instance's uid and versions.
+  const util::Bytes image = views::instance_image_since(*self, 0);
+  os << "-- image --\n"
+     << util::to_hex(util::Bytes(image.begin() + views::kImageHeaderSize,
+                                 image.end()))
+     << "\n";
   return os.str();
 }
 
