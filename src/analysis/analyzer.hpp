@@ -87,8 +87,8 @@ struct AnalysisOptions {
 
 /// Added members no exposed entry point can reach — the fact base behind
 /// the PSA035/PSA036 warnings and the exact set VIG strips from generated
-/// views (unless PSF_VIG_STRIP=0). One computation serves both so the
-/// diagnostics and the generator can never disagree.
+/// views (unless VigOptions::strip is false). One computation serves both
+/// so the diagnostics and the generator can never disagree.
 struct DeadMembers {
   std::vector<std::string> methods;  // model build order (deterministic)
   std::vector<std::string> fields;   // sorted (added_fields is a set)
@@ -103,7 +103,7 @@ struct AnalysisResult {
   std::size_t warnings = 0;
   /// Members VIG will strip ("method foo" / "field bar"), from
   /// compute_dead_members. Informational — stripping itself happens at
-  /// generation time and honors PSF_VIG_STRIP.
+  /// generation time and honors VigOptions::strip.
   std::vector<std::string> stripped;
 
   bool has_errors() const { return errors > 0; }

@@ -144,20 +144,4 @@ std::set<std::string> called_names(const std::vector<StmtPtr>& body) {
   return out;
 }
 
-std::vector<MemberCallRef> member_calls(const std::vector<StmtPtr>& body) {
-  std::vector<MemberCallRef> out;
-  std::set<std::string> declared;
-  std::function<void(const Expr&)> visit = [&](const Expr& e) {
-    if (e.kind == ExprKind::kMemberCall) {
-      out.push_back(MemberCallRef{e.name, e.line});
-    }
-    for (const auto& child : e.children) visit(*child);
-  };
-  walk_block(body, declared,
-             [&](const Expr& e, const std::set<std::string>&, bool) {
-               visit(e);
-             });
-  return out;
-}
-
 }  // namespace psf::analysis

@@ -63,14 +63,4 @@ std::set<std::string> referenced_idents(
 /// through `this.m()` or a stored self-reference).
 std::set<std::string> called_names(const std::vector<minilang::StmtPtr>& body);
 
-/// Member-call sites `obj.m(...)` in source order (receiver expressions of
-/// any shape). The deployment analyzer resolves each member name against
-/// every class deployed anywhere to decide whether the site is monomorphic.
-struct MemberCallRef {
-  std::string member;
-  std::size_t line = 0;
-};
-std::vector<MemberCallRef> member_calls(
-    const std::vector<minilang::StmtPtr>& body);
-
 }  // namespace psf::analysis

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "analysis/ast_scan.hpp"
 #include "drbac/repository.hpp"
 
 namespace psf::analysis {
@@ -33,41 +32,6 @@ struct ModeledView {
   const DeployedView* deployed = nullptr;
   ViewModel model;  // model.valid may be false (structural errors)
 };
-
-// Every class deployed anywhere that resolves `member` as a public method
-// can be a receiver of `receiver.member(...)`. Component classes resolve
-// along their inheritance chain; view classes resolve through their model
-// (which already folded copies, stubs, splices, and removals in).
-struct MemberResolvers {
-  std::vector<std::string> classes;   // deterministic: registry order + views
-  bool declared_by_single_own = false;  // unique resolver declares it itself
-};
-
-std::map<std::string, MemberResolvers> index_public_members(
-    const minilang::ClassRegistry& registry,
-    const std::vector<ModeledView>& views) {
-  std::map<std::string, MemberResolvers> out;
-  for (const std::string& name : registry.class_names()) {
-    auto cls = registry.find_class(name);
-    if (cls == nullptr) continue;
-    std::set<std::string> seen;  // most-derived resolution wins per name
-    for (const auto& link : registry.chain(*cls)) {
-      for (const auto& method : link->methods) {
-        if (method.visibility != minilang::Visibility::kPublic) continue;
-        if (!seen.insert(method.name).second) continue;
-        out[method.name].classes.push_back(name);
-      }
-    }
-  }
-  for (const ModeledView& view : views) {
-    if (!view.model.valid) continue;
-    for (const MethodModel& method : view.model.methods) {
-      if (method.visibility != minilang::Visibility::kPublic) continue;
-      out[method.name].classes.push_back(view.deployed->def.name);
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -236,28 +200,6 @@ DeploymentResult analyze_deployment(const DeploymentInput& input) {
     }
   }
 
-  // ---- Per-call-site monomorphism facts ----
-  const auto resolvers = index_public_members(registry, views);
-  for (const ModeledView& view : views) {
-    if (!view.model.valid) continue;
-    for (const MethodModel& method : view.model.methods) {
-      if (method.body == nullptr) continue;
-      for (const MemberCallRef& site : member_calls(*method.body)) {
-        CallSiteFact fact;
-        fact.view = view.deployed->def.name;
-        fact.method = method.name;
-        fact.member = site.member;
-        fact.line = site.line;
-        auto it = resolvers.find(site.member);
-        if (it != resolvers.end() && it->second.classes.size() == 1) {
-          fact.monomorphic = true;
-          fact.receiver_class = it->second.classes.front();
-        }
-        result.call_sites.push_back(fact);
-      }
-    }
-  }
-
   result.diagnostics = sink.take();
   std::stable_sort(result.diagnostics.begin(), result.diagnostics.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
@@ -277,7 +219,7 @@ DeploymentResult analyze_deployment(const DeploymentInput& input) {
 
 std::string DeploymentResult::json() const {
   std::ostringstream out;
-  out << "{\"schema\":\"deployment-v1\",\"errors\":" << errors
+  out << "{\"schema\":\"deployment-v2\",\"errors\":" << errors
       << ",\"warnings\":" << warnings << ",\"views\":[";
   for (std::size_t i = 0; i < reachability.size(); ++i) {
     const ViewReachability& reach = reachability[i];
@@ -319,17 +261,6 @@ std::string DeploymentResult::json() const {
     if (!first) out << ",";
     first = false;
     out << "\"" << json_escape(reach.view) << "\"";
-  }
-  out << "],\"call_sites\":[";
-  for (std::size_t i = 0; i < call_sites.size(); ++i) {
-    const CallSiteFact& fact = call_sites[i];
-    if (i != 0) out << ",";
-    out << "{\"view\":\"" << json_escape(fact.view) << "\",\"method\":\""
-        << json_escape(fact.method) << "\",\"member\":\""
-        << json_escape(fact.member) << "\",\"line\":" << fact.line
-        << ",\"monomorphic\":" << (fact.monomorphic ? "true" : "false")
-        << ",\"receiver_class\":\"" << json_escape(fact.receiver_class)
-        << "\"}";
   }
   out << "],\"diagnostics\":[";
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {

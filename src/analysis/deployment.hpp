@@ -13,16 +13,8 @@
 //           that a role-gated view of the same service removes, or serves
 //           it at a strictly stronger binding (local > rmi > switchboard)
 //
-// The same pass computes per-call-site monomorphism facts — member-call
-// sites whose member name resolves publicly on exactly one class deployed
-// anywhere — which VIG uses to seed the VM's inline caches at generation
-// time (vm.hpp seed_inline_cache). The facts are hints, not proofs: MiniLang
-// fields are dynamically typed, so every seeded cache is still guarded by a
-// receiver-class check at run time and falls back to the named lookup on a
-// miss. A wrong fact costs a guard miss, never a wrong answer.
-//
-// Consumers: tools/psf_analyze --deployment (JSON schema "deployment-v1"),
-// views::Vig (VigOptions::deployment_facts), tests/deployment_test.cpp.
+// Consumers: tools/psf_analyze --deployment (JSON schema "deployment-v2"),
+// tests/deployment_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -67,20 +59,6 @@ struct DeploymentInput {
   bool auto_coherence = true;
 };
 
-/// A member-call site inside a view method. `monomorphic` means exactly one
-/// class deployed anywhere (component classes in the registry plus the
-/// deployment's view classes) resolves `member` as a public method;
-/// `receiver_class` names it. VIG seeds an inline cache from the fact when
-/// the class declares the method itself (the VM's own-class cache rule).
-struct CallSiteFact {
-  std::string view;            // view class containing the call site
-  std::string method;          // containing method
-  std::string member;          // called member name
-  std::size_t line = 0;        // 1-based within the method body
-  bool monomorphic = false;
-  std::string receiver_class;  // the unique resolver; "" when polymorphic
-};
-
 /// Why (or why not) a view is reachable by some client.
 struct ViewReachability {
   std::string view;
@@ -99,14 +77,13 @@ struct DeploymentResult {
   /// stable key (code, view, where, line).
   std::vector<Diagnostic> diagnostics;
   std::vector<ViewReachability> reachability;  // input view order
-  std::vector<CallSiteFact> call_sites;        // view order, body order
   std::vector<ServiceMatrix> matrix;           // echo of the input wiring
   /// Totals across deployment-level and per-view diagnostics.
   std::size_t errors = 0;
   std::size_t warnings = 0;
 
   bool has_errors() const { return errors > 0; }
-  /// Stable machine-readable report, schema "deployment-v1"
+  /// Stable machine-readable report, schema "deployment-v2"
   /// (psf_analyze --deployment --json; golden-tested).
   std::string json() const;
 };

@@ -87,7 +87,7 @@ class Compiler {
   }
 
   // One monomorphic inline-cache slot per member-call site; the VM fills
-  // them on first dispatch and VIG seeds them from deployment facts.
+  // them on first dispatch.
   void allocate_inline_caches() {
     std::uint32_t caches = 0;
     for (Insn& insn : out_->code) {

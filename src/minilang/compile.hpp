@@ -80,10 +80,10 @@ struct Insn {
 };
 
 /// One monomorphic call-site cache for kCallMember dispatch (one per site,
-/// allocated by the compiler). Filled on first dispatch — or seeded by VIG
-/// from deployment-analysis facts — with the receiver class and the resolved
-/// public method. The VM hits it only when the receiver's ClassDef pointer
-/// matches exactly; any other receiver falls back to the named slow path.
+/// allocated by the compiler). Filled on first dispatch with the receiver
+/// class and the resolved public method. The VM hits it only when the
+/// receiver's ClassDef pointer matches exactly; any other receiver falls
+/// back to the named slow path.
 /// state: 0 = empty, 1 = being filled, 2 = ready, 3 = uncacheable site.
 struct InlineCache {
   std::atomic<int> state{0};

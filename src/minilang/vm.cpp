@@ -157,23 +157,6 @@ void fill_inline_cache(InlineCache& ic, const Instance& instance,
 
 }  // namespace
 
-bool seed_inline_cache(InlineCache& ic, std::shared_ptr<const ClassDef> cls,
-                       const MethodDef* method) {
-  if (cls == nullptr || method == nullptr ||
-      method->visibility != Visibility::kPublic) {
-    return false;
-  }
-  int expected = 0;
-  if (!ic.state.compare_exchange_strong(expected, 1,
-                                        std::memory_order_acq_rel)) {
-    return false;
-  }
-  ic.cls = std::move(cls);
-  ic.method = method;
-  ic.state.store(2, std::memory_order_release);
-  return true;
-}
-
 Value vm_execute(const CompiledMethod& m,
                  const std::shared_ptr<Instance>& self,
                  std::vector<Value> args, Engine& engine, std::size_t& steps,

@@ -54,11 +54,4 @@ Value vm_execute(const CompiledMethod& method,
                  std::vector<Value> args, Engine& engine, std::size_t& steps,
                  std::size_t max_steps);
 
-/// Install (cls, method) into an empty inline-cache slot — VIG seeds caches
-/// at generation time from deployment-analysis monomorphism facts. Refuses
-/// non-public targets and already-decided slots; returns whether the seed
-/// took. `method` must be declared by `cls` itself.
-bool seed_inline_cache(InlineCache& ic, std::shared_ptr<const ClassDef> cls,
-                       const MethodDef* method);
-
 }  // namespace psf::minilang

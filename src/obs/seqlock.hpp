@@ -98,7 +98,15 @@ struct Slot {
   }
 
   /// Back to "never written"; readers reject the old payload from now on.
-  void rewind() { gen.store(0, std::memory_order_relaxed); }
+  /// A write in flight keeps its claim: zeroing its odd generation would
+  /// let a second try_write claim the slot while the first still stores
+  /// words, and the two writes would interleave. It completes as usual.
+  void rewind() {
+    std::uint64_t seen = gen.load(std::memory_order_relaxed);
+    while ((seen & 1) == 0 && seen != 0 &&
+           !gen.compare_exchange_weak(seen, 0, std::memory_order_relaxed)) {
+    }
+  }
 
  private:
   void store(std::uint64_t index, const Record& record) {

@@ -40,14 +40,14 @@
 namespace psf::switchboard {
 
 /// Which OS readiness primitive backs a Poller. `kEpoll` is the default on
-/// Linux; `kPoll` is the portable fallback and is also selectable on Linux
-/// for differential testing (PSF_LOOP_POLLER=poll).
+/// Linux; `kPoll` is the portable fallback, and tests run it on Linux too.
 enum class PollerKind { kEpoll, kPoll };
 
-/// Resolve the poller from $PSF_LOOP_POLLER ("epoll" | "poll"); defaults to
-/// epoll where available, poll otherwise. Unknown values fall back to the
-/// default so a typo degrades instead of aborting.
-PollerKind poller_kind_from_env();
+#ifdef __linux__
+inline constexpr PollerKind kDefaultPoller = PollerKind::kEpoll;
+#else
+inline constexpr PollerKind kDefaultPoller = PollerKind::kPoll;
+#endif
 
 /// True when this build can service `kind` (epoll is Linux-only).
 bool poller_available(PollerKind kind);
@@ -171,8 +171,8 @@ class EventLoop {
   void set_worker_index(int index) { worker_index_ = index; }
   int worker_index() const { return worker_index_; }
 
-  explicit EventLoop(PollerKind kind = poller_kind_from_env(),
-                     std::uint64_t timer_tick_ns = 1'000'000);
+  /// The timer wheel ticks every 1 ms.
+  explicit EventLoop(PollerKind kind = kDefaultPoller);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;

@@ -61,15 +61,6 @@ struct ReactorMetrics {
       obs::histogram("psf.switchboard.loop.batch_frames");
 };
 
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || parsed <= 0 || parsed > 1'000'000) return fallback;
-  return static_cast<int>(parsed);
-}
-
 }  // namespace
 
 /// The loop thread's dispatch scratch: every channel on the worker reads its
@@ -267,7 +258,7 @@ EventChannel::EventChannel(EventLoop& loop, std::unique_ptr<Conduit> conduit,
       role_(role),
       session_id_(session_id),
       mailbox_(std::move(mailbox)),
-      max_batch_frames_(max_batch_frames == 0 ? 128 : max_batch_frames) {}
+      max_batch_frames_(max_batch_frames) {}
 
 EventChannel::~EventChannel() = default;
 
@@ -759,21 +750,29 @@ void EventChannel::set_established_callback(std::function<void()> fn) {
 
 // ------------------------------------------------------------------ reactor
 
+int worker_count_from_env(const char* env, int fallback) {
+  if (env == nullptr || *env == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || errno != 0 || parsed < 1 ||
+      parsed > kMaxEnvWorkers) {
+    return fallback;
+  }
+  return static_cast<int>(parsed);
+}
+
 Reactor::Reactor(ReactorOptions options) {
   int workers = options.workers;
   if (workers <= 0) {
     const unsigned hc = std::thread::hardware_concurrency();
-    workers = env_int("PSF_LOOP_WORKERS",
-                      static_cast<int>(std::min(4u, std::max(2u, hc))));
+    workers = worker_count_from_env(
+        std::getenv("PSF_LOOP_WORKERS"),
+        static_cast<int>(std::min(4u, std::max(2u, hc))));
   }
-  max_batch_frames_ = options.max_batch_frames != 0
-                          ? options.max_batch_frames
-                          : static_cast<std::size_t>(
-                                env_int("PSF_LOOP_BATCH", 128));
   loops_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    loops_.push_back(
-        std::make_unique<EventLoop>(options.poller, options.timer_tick_ns));
+    loops_.push_back(std::make_unique<EventLoop>());
     // Number the pool: loop i exports psf.loop.<i>.* gauges and shows up in
     // profiles as "loop.<i>".
     loops_.back()->set_worker_index(i);
@@ -806,8 +805,7 @@ std::shared_ptr<EventChannel> Reactor::serve(
     int worker, std::unique_ptr<Conduit> conduit,
     std::shared_ptr<Connection> trunk, EventChannel::RequestHandler handler) {
   return EventChannel::serve(loop(worker), std::move(conduit),
-                             std::move(trunk), std::move(handler),
-                             max_batch_frames_);
+                             std::move(trunk), std::move(handler));
 }
 
 std::shared_ptr<EventChannel> Reactor::open(int worker,
@@ -816,8 +814,7 @@ std::shared_ptr<EventChannel> Reactor::open(int worker,
                                             std::uint64_t session_id,
                                             std::string mailbox) {
   return EventChannel::open(loop(worker), std::move(conduit), std::move(trunk),
-                            session_id, std::move(mailbox),
-                            max_batch_frames_);
+                            session_id, std::move(mailbox));
 }
 
 HeartbeatHandle Reactor::schedule_heartbeats(

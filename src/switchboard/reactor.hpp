@@ -28,7 +28,7 @@
 // Batching rules: one readiness dispatch reads the conduit in 16 KiB chunks
 // into the loop thread's read scratch and unseals and dispatches complete
 // frames straight out of it, until the conduit would block or
-// max_batch_frames frames were handled. Responses are sealed into the
+// kMaxBatchFrames (128) frames were handled. Responses are sealed into the
 // channel's write buffer and flushed with a single write, so a burst of B
 // requests costs O(1) syscalls/wakes, not O(B). When the bound cuts a
 // dispatch short the channel yields the loop and continues in a fresh
@@ -165,13 +165,18 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
     std::uint64_t buffered_capacity = 0;
   };
 
+  /// Frames one readiness dispatch handles before the channel yields the
+  /// loop and continues in a fresh dispatch. Tests pass smaller bounds to
+  /// serve()/open() to exercise the continuation.
+  static constexpr std::size_t kMaxBatchFrames = 128;
+
   /// Build the server end. The channel registers with `loop` asynchronously;
   /// it answers the peer's HELLO with WELCOME and then dispatches every DATA
   /// frame through `handler`.
   static std::shared_ptr<EventChannel> serve(
       EventLoop& loop, std::unique_ptr<Conduit> conduit,
       std::shared_ptr<Connection> trunk, RequestHandler handler,
-      std::size_t max_batch_frames = 128);
+      std::size_t max_batch_frames = kMaxBatchFrames);
 
   /// Build the client end and start the session handshake. `session_id`
   /// must be unique per trunk. `mailbox` rides in the HELLO so the server
@@ -179,7 +184,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   static std::shared_ptr<EventChannel> open(
       EventLoop& loop, std::unique_ptr<Conduit> conduit,
       std::shared_ptr<Connection> trunk, std::uint64_t session_id,
-      std::string mailbox, std::size_t max_batch_frames = 128);
+      std::string mailbox, std::size_t max_batch_frames = kMaxBatchFrames);
 
   ~EventChannel();
 
@@ -274,15 +279,21 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
 
 // ------------------------------------------------------------------ reactor
 
-/// Tuning for a Reactor pool. Zero/default fields resolve from the
-/// environment: PSF_LOOP_WORKERS (worker count), PSF_LOOP_POLLER
-/// (epoll|poll), PSF_LOOP_BATCH (max frames per readiness dispatch).
+/// Sizing for a Reactor pool. Each worker loop polls with the platform's
+/// default backend (epoll on Linux, poll(2) elsewhere).
 struct ReactorOptions {
-  int workers = 0;                  // 0 = $PSF_LOOP_WORKERS, default 2
-  PollerKind poller = poller_kind_from_env();
-  std::size_t max_batch_frames = 0; // 0 = $PSF_LOOP_BATCH, default 128
-  std::uint64_t timer_tick_ns = 1'000'000;  // 1 ms wheel resolution
+  int workers = 0;  // 0 = $PSF_LOOP_WORKERS (see worker_count_from_env)
 };
+
+/// Most worker loops $PSF_LOOP_WORKERS may ask for: one OS thread each, so
+/// a typo such as 100000 must not start that many threads.
+inline constexpr int kMaxEnvWorkers = 64;
+
+/// The worker count `env` (the value of $PSF_LOOP_WORKERS, or null) asks
+/// for: a whole decimal number in [1, kMaxEnvWorkers]. Anything else —
+/// unset, empty, zero, negative, out of range or not a number — yields
+/// `fallback`. Pure: reads no environment and starts nothing.
+int worker_count_from_env(const char* env, int fallback);
 
 /// Cancellation handle for wheel-scheduled heartbeats; beats() observes
 /// progress. Copyable; cancel() is idempotent and thread-safe.
@@ -346,11 +357,8 @@ class Reactor {
   HeartbeatHandle schedule_heartbeats(std::shared_ptr<Connection> connection,
                                       std::chrono::milliseconds period);
 
-  std::size_t max_batch_frames() const { return max_batch_frames_; }
-
  private:
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::size_t max_batch_frames_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> next_heartbeat_worker_{0};
 };

@@ -1,17 +1,13 @@
 #include "views/vig.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <sstream>
-#include <string_view>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/ast_scan.hpp"
-#include "analysis/deployment.hpp"
 #include "minilang/compile.hpp"
 #include "minilang/interp.hpp"
-#include "minilang/vm.hpp"
 #include "minilang/parser.hpp"
 #include "minilang/value_codec.hpp"
 #include "obs/journal.hpp"
@@ -76,16 +72,6 @@ bool is_coherence_method(const std::string& name) {
     if (name == m) return true;
   }
   return false;
-}
-
-/// Run-time escape hatch for member stripping (PSF_VIG_STRIP=0); anything
-/// else — including unset — keeps the VigOptions::strip default in force.
-bool strip_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("PSF_VIG_STRIP");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return enabled;
 }
 
 // ---- default coherence handlers (VigOptions::auto_coherence) ----
@@ -281,7 +267,7 @@ util::Result<std::shared_ptr<ClassDef>> Vig::generate(
   // report and the drop cannot disagree. ----
   std::set<std::string> dead_methods;
   std::set<std::string> dead_fields;
-  if (options_.strip && strip_enabled()) {
+  if (options_.strip) {
     for (const std::string& entry : verdict.stripped) {
       if (entry.rfind("method ", 0) == 0) {
         dead_methods.insert(entry.substr(7));
@@ -460,8 +446,7 @@ util::Result<std::shared_ptr<ClassDef>> Vig::generate(
   // Coherence wrapping: every method implemented by the view except the
   // constructor and the coherence methods themselves.
   for (auto& m : methods) {
-    if (options_.wrap_coherence && m.name != "constructor" &&
-        !is_coherence_method(m.name)) {
+    if (m.name != "constructor" && !is_coherence_method(m.name)) {
       m.coherence_wrapped = true;
     }
   }
@@ -477,37 +462,10 @@ util::Result<std::shared_ptr<ClassDef>> Vig::generate(
   // Generation-time lowering: compile every view method body now, so the
   // first dispatch pays no compile latency and a body the compiler cannot
   // encode refuses the view here rather than failing mid-request.
-  //
-  // IC seeding: a deployment fact proving a member-call site monomorphic
-  // lets generation pre-fill the site's inline cache with the receiver
-  // class, so even the first dispatch skips the name-hash lookup. The VM's
-  // receiver guard keeps a stale or wrong fact harmless.
-  auto seed_caches = [&](const MethodDef& m,
-                         const minilang::CompiledMethod& code) {
-    if (options_.deployment_facts == nullptr || code.num_caches == 0) return;
-    for (const minilang::Insn& insn : code.code) {
-      if (insn.op != minilang::Op::kCallMember) continue;
-      const std::string& member = code.names[insn.b];
-      for (const analysis::CallSiteFact& fact : *options_.deployment_facts) {
-        if (!fact.monomorphic || fact.view != def.name ||
-            fact.method != m.name || fact.member != member) {
-          continue;
-        }
-        auto receiver = registry_->find_class(fact.receiver_class);
-        if (receiver == nullptr) break;
-        const MethodDef* target = receiver->find_method(member);
-        if (minilang::seed_inline_cache(code.caches[insn.d - 1],
-                                        std::move(receiver), target)) {
-          ++stats_.caches_seeded;
-        }
-        break;
-      }
-    }
-  };
   for (const MethodDef& m : view->methods) {
     if (m.is_native) continue;
     try {
-      seed_caches(m, minilang::ensure_compiled(*registry_, *view, m));
+      minilang::ensure_compiled(*registry_, *view, m);
       ++stats_.methods_compiled;
     } catch (const minilang::CompileError& e) {
       if (displaced != nullptr) {

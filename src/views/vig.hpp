@@ -24,10 +24,6 @@
 #include "util/result.hpp"
 #include "views/view_def.hpp"
 
-namespace psf::analysis {
-struct CallSiteFact;
-}
-
 namespace psf::views {
 
 struct VigDiagnostic {
@@ -46,23 +42,14 @@ struct VigOptions {
   /// paper's stated future-work extension ("supply default handlers in an
   /// automatic fashion, which can be overridden as necessary").
   bool auto_coherence = true;
-  /// Inject acquireImage/releaseImage wrapping on view methods.
-  bool wrap_coherence = true;
   /// Reuse an already-generated class for the same view name (lazy
   /// generation cache).
   bool cache = true;
   /// Drop added members no exposed entry point can reach (the PSA035/PSA036
   /// set from analysis::compute_dead_members) so generated views stay as
   /// small as their restriction implies and coherence images shrink with
-  /// them. PSF_VIG_STRIP=0 disables at run time without a rebuild.
+  /// them.
   bool strip = true;
-  /// Monomorphism facts from a whole-deployment analysis
-  /// (analysis::analyze_deployment). When set, generation seeds the inline
-  /// cache of every member-call site a fact covers with its unique receiver
-  /// class, so the first dispatch already hits. Facts are hints: the VM's
-  /// receiver-class guard still runs, and a wrong seed only costs the named
-  /// slow path. Borrowed pointer; must outlive generate() calls.
-  const std::vector<analysis::CallSiteFact>* deployment_facts = nullptr;
 };
 
 struct VigStats {
@@ -73,8 +60,6 @@ struct VigStats {
   /// View methods lowered to bytecode at generation time. A method the
   /// compiler cannot encode refuses the whole view instead.
   std::size_t methods_compiled = 0;
-  /// Inline-cache slots pre-filled from deployment facts at generation time.
-  std::size_t caches_seeded = 0;
 };
 
 class Vig {

@@ -1,8 +1,7 @@
 // Whole-deployment analysis (DESIGN.md §4l): reachability over the Table 4
 // role→view matrices and the live dRBAC repository (PSA080), matrix gaps
 // (PSA081), first-match shadowing (PSA082), default-view exposure inversion
-// (PSA083), per-call-site monomorphism facts, the deployment-v1 JSON report,
-// and VIG's generation-time inline-cache seeding from those facts.
+// (PSA083) and the deployment-v2 JSON report.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -15,21 +14,17 @@
 #include "drbac/credential.hpp"
 #include "drbac/repository.hpp"
 #include "mail/components.hpp"
-#include "minilang/interp.hpp"
 #include "util/rng.hpp"
-#include "views/vig.hpp"
 
 namespace psf {
 namespace {
 
 using analysis::AccessRule;
-using analysis::CallSiteFact;
 using analysis::DeployedView;
 using analysis::DeploymentInput;
 using analysis::DeploymentResult;
 using analysis::Diagnostic;
 using analysis::ServiceMatrix;
-using minilang::Value;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -280,51 +275,6 @@ TEST(Deployment, NarrowerGatedViewIsNotInversion) {
   EXPECT_FALSE(codes_of(result).count("PSA083"));
 }
 
-// ------------------------------------------------------ monomorphism facts
-
-TEST(Deployment, MemberCallOnUniqueDeclarerIsMonomorphic) {
-  TestDeployment d;
-  d.input.views.push_back({parse_view(fixture("dead_view.xml")), false});
-  const DeploymentResult result = analysis::analyze_deployment(d.input);
-  const CallSiteFact* fact = nullptr;
-  for (const auto& site : result.call_sites) {
-    if (site.member == "addAccount") fact = &site;
-  }
-  ASSERT_NE(fact, nullptr);
-  EXPECT_TRUE(fact->monomorphic);
-  EXPECT_EQ(fact->receiver_class, "MailClient");
-  EXPECT_EQ(fact->view, "ViewMailClient_Dead");
-  EXPECT_EQ(fact->method, "relayAccount");
-}
-
-TEST(Deployment, SharedMemberNameIsPolymorphic) {
-  TestDeployment d;
-  // getPhone resolves on MailClient, MailServer, and several view models —
-  // any site calling it must not be treated as monomorphic.
-  d.input.views.push_back({parse_view(R"(
-      <View name="ViewPhoneProbe">
-        <Represents name="MailClient"/>
-        <Restricts><Interface name="AddressI" type="switchboard"/></Restricts>
-        <Adds_Methods>
-          <MSign>constructor()</MSign>
-          <MBody><![CDATA[return null;]]></MBody>
-          <MSign>probe(target, name)</MSign>
-          <MBody><![CDATA[return target.getPhone(name);]]></MBody>
-        </Adds_Methods>
-      </View>)"),
-                           false});
-  const DeploymentResult result = analysis::analyze_deployment(d.input);
-  const CallSiteFact* fact = nullptr;
-  for (const auto& site : result.call_sites) {
-    if (site.view == "ViewPhoneProbe" && site.member == "getPhone") {
-      fact = &site;
-    }
-  }
-  ASSERT_NE(fact, nullptr);
-  EXPECT_FALSE(fact->monomorphic);
-  EXPECT_EQ(fact->receiver_class, "");
-}
-
 // ---------------------------------------------------------------- reports
 
 TEST(Deployment, JsonIsStableAndSchemaTagged) {
@@ -333,10 +283,12 @@ TEST(Deployment, JsonIsStableAndSchemaTagged) {
   const std::string first = analysis::analyze_deployment(d.input).json();
   const std::string second = analysis::analyze_deployment(d.input).json();
   EXPECT_EQ(first, second);
-  EXPECT_EQ(first.rfind("{\"schema\":\"deployment-v1\"", 0), 0u);
-  EXPECT_NE(first.find("\"dead_views\":[\"ViewMailClient_Dead\"]"),
+  EXPECT_EQ(first.rfind("{\"schema\":\"deployment-v2\"", 0), 0u);
+  // v2 carries no per-call-site facts: diagnostics follow the dead views.
+  EXPECT_NE(first.find("\"dead_views\":[\"ViewMailClient_Dead\"],"
+                       "\"diagnostics\":["),
             std::string::npos);
-  EXPECT_NE(first.find("\"call_sites\":["), std::string::npos);
+  EXPECT_EQ(first.find("\"monomorphic\""), std::string::npos);
 }
 
 TEST(Deployment, DiagnosticsSortedByStableKey) {
@@ -354,89 +306,6 @@ TEST(Deployment, DiagnosticsSortedByStableKey) {
     EXPECT_LE(std::tie(a.code, a.span.view, a.span.where, a.span.line),
               std::tie(b.code, b.span.view, b.span.where, b.span.line));
   }
-}
-
-// ------------------------------------------------- VIG inline-cache seeding
-
-TEST(Deployment, VigSeedsInlineCachesFromFacts) {
-  TestDeployment d;
-  d.input.views.push_back({parse_view(fixture("dead_view.xml")), false});
-  const DeploymentResult analysis_result =
-      analysis::analyze_deployment(d.input);
-
-  minilang::ClassRegistry registry;
-  mail::register_all(registry);
-  views::VigOptions options;
-  options.deployment_facts = &analysis_result.call_sites;
-  options.strip = false;  // relayAccount is interface-dead; keep the site
-  views::Vig seeded_vig(&registry, options);
-  auto cls = seeded_vig.generate(parse_view(fixture("dead_view.xml")));
-  ASSERT_TRUE(cls.ok()) << cls.error().message;
-  EXPECT_GE(seeded_vig.stats().caches_seeded, 1u);
-
-  // A seeded cache must behave exactly like a cold one: the right receiver
-  // hits, everything else falls back to the named slow path.
-  auto view = minilang::instantiate(registry, cls.value()->name);
-  auto client = minilang::instantiate(registry, "MailClient");
-  const Value ok = view->call(
-      "relayAccount", {Value::object(client), Value::string("dana"),
-                       Value::string("555"), Value::string("dana@x")});
-  EXPECT_TRUE(ok.is_null());
-  EXPECT_EQ(client->call("getPhone", {Value::string("dana")})
-                .to_display_string(),
-            "555");
-
-  // Guard miss: a receiver of a different class (MailServer has no
-  // addAccount) gets the same error as the same view generated without
-  // facts, whose cache starts cold.
-  auto guard_miss_error = [](minilang::ClassRegistry& reg,
-                             const std::string& view_class) {
-    auto v = minilang::instantiate(reg, view_class);
-    auto server = minilang::instantiate(reg, "MailServer");
-    try {
-      v->call("relayAccount", {Value::object(server), Value::string("x"),
-                               Value::string("y"), Value::string("z")});
-    } catch (const minilang::EvalError& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  };
-  minilang::ClassRegistry cold_registry;
-  mail::register_all(cold_registry);
-  views::VigOptions cold_options;
-  cold_options.strip = false;
-  views::Vig cold_vig(&cold_registry, cold_options);
-  auto cold_cls = cold_vig.generate(parse_view(fixture("dead_view.xml")));
-  ASSERT_TRUE(cold_cls.ok()) << cold_cls.error().message;
-  EXPECT_EQ(cold_vig.stats().caches_seeded, 0u);
-  const std::string seeded_error =
-      guard_miss_error(registry, cls.value()->name);
-  EXPECT_FALSE(seeded_error.empty());
-  EXPECT_EQ(seeded_error,
-            guard_miss_error(cold_registry, cold_cls.value()->name));
-}
-
-TEST(Deployment, SeedingRefusesFactsTheClassCannotBack) {
-  minilang::ClassRegistry registry;
-  mail::register_all(registry);
-  // A wrong fact: claims the addAccount site resolves on MailServer, which
-  // has no such method. Seeding must refuse (and dispatch still works).
-  std::vector<CallSiteFact> facts{{"ViewMailClient_Dead", "relayAccount",
-                                   "addAccount", 1, true, "MailServer"}};
-  views::VigOptions options;
-  options.deployment_facts = &facts;
-  options.strip = false;
-  views::Vig vig(&registry, options);
-  auto cls = vig.generate(parse_view(fixture("dead_view.xml")));
-  ASSERT_TRUE(cls.ok()) << cls.error().message;
-  EXPECT_EQ(vig.stats().caches_seeded, 0u);
-
-  auto view = minilang::instantiate(registry, cls.value()->name);
-  auto client = minilang::instantiate(registry, "MailClient");
-  const Value ok = view->call(
-      "relayAccount", {Value::object(client), Value::string("eve"),
-                       Value::string("111"), Value::string("eve@x")});
-  EXPECT_TRUE(ok.is_null());
 }
 
 TEST(Deployment, RoleProvableFollowsDelegationChains) {

@@ -35,7 +35,7 @@ bool eventually(Pred pred) {
 // ------------------------------------------------------------------ Poller
 
 TEST(Poller, CreateHonorsAvailability) {
-  auto poller = Poller::create(poller_kind_from_env());
+  auto poller = Poller::create(kDefaultPoller);
   ASSERT_NE(poller, nullptr);
   EXPECT_TRUE(poller_available(poller->kind()));
   // poll(2) must exist everywhere: it is the portable floor.
@@ -335,12 +335,6 @@ TEST(EventLoop, UnindexedLoopExportsNoPerWorkerGauges) {
     EXPECT_EQ(entry.name.find("psf.loop.-1."), std::string::npos)
         << entry.name;
   }
-}
-
-TEST(EventLoop, EnvSelectsPoller) {
-  // Unknown values degrade to the platform default instead of aborting.
-  const PollerKind kind = poller_kind_from_env();
-  EXPECT_TRUE(poller_available(kind));
 }
 
 }  // namespace

@@ -873,6 +873,22 @@ TEST(Differential, OldAndNewTransportsAgreeOnMailResults) {
   reactor.stop();
 }
 
+// ----------------------------------------------------------- worker count
+
+TEST(Reactor, WorkerCountFromEnvAcceptsOnlySmallPositiveNumbers) {
+  // Pure parsing: no Reactor is built and no loop thread starts.
+  EXPECT_EQ(worker_count_from_env(nullptr, 3), 3);
+  EXPECT_EQ(worker_count_from_env("", 3), 3);
+  EXPECT_EQ(worker_count_from_env("1", 3), 1);
+  EXPECT_EQ(worker_count_from_env("8", 3), 8);
+  EXPECT_EQ(worker_count_from_env("64", 3), kMaxEnvWorkers);
+  for (const char* rejected :
+       {"0", "-1", "-64", "65", "100000", "99999999999999999999", "four",
+        "4x", " ", "0x10", "2.5"}) {
+    EXPECT_EQ(worker_count_from_env(rejected, 3), 3) << rejected;
+  }
+}
+
 // ---------------------------------------------------------- shard routing
 
 TEST(Sharding, ReactorAndBackendAgreeOnPlacement) {

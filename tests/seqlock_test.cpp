@@ -88,6 +88,21 @@ TEST(SeqLock, TryWriteRejectsAWriteInFlightOrANewerGeneration) {
   EXPECT_EQ(out, record_of(9)) << "a rejected claim must not touch the slot";
 }
 
+TEST(SeqLock, RewindLeavesAClaimedSlotToItsWriter) {
+  TestSlot slot;
+  slot.gen.store(writing(3));  // a try_write claimed index 3, still storing
+  slot.rewind();
+  EXPECT_EQ(slot.gen.load(), writing(3));
+  EXPECT_FALSE(slot.try_write(0, record_of(0)))
+      << "a second writer must not claim a slot whose write is in flight";
+
+  slot.write(3, record_of(3));  // the first writer finishes
+  slot.rewind();
+  Record out{};
+  EXPECT_FALSE(slot.read(out)) << "a complete slot rewinds to empty";
+  EXPECT_TRUE(slot.try_write(0, record_of(0)));
+}
+
 TEST(SeqLock, RingKeepsTheNewestCapacityRecordsOldestFirst) {
   TestRing ring(5);
   ASSERT_EQ(ring.capacity(), 8u);  // rounded up to a power of two

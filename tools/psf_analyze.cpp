@@ -5,8 +5,7 @@
 // files and reports structured diagnostics. Deployment mode resolves the
 // mail application's full deployment — every registered view, the Table 4
 // role→view matrices, and a deterministic demo dRBAC repository — in one
-// pass and adds the cross-view findings (PSA080-083) plus per-call-site
-// monomorphism facts.
+// pass and adds the cross-view findings (PSA080-083).
 //
 // Usage:
 //   psf_analyze [--json|--sarif] <view.xml>...
@@ -15,7 +14,7 @@
 //
 // The represented classes come from the mail application registry. Output is
 // human-readable by default; --json emits stable JSON (per-view: one array;
-// deployment: one "deployment-v1" object); --sarif emits a SARIF 2.1.0 log
+// deployment: one "deployment-v2" object); --sarif emits a SARIF 2.1.0 log
 // for code-scanning consumers (validated in CI by scripts/check_sarif.py).
 //
 // Exit status: 0 = no errors (warnings allowed), 1 = at least one error
@@ -53,14 +52,14 @@ void print_usage(std::ostream& out) {
          "  --help        print this help and exit 0\n"
          "  --json        stable JSON: per-view mode emits one array, one\n"
          "                object per definition; --deployment emits one\n"
-         "                deployment-v1 object\n"
+         "                deployment-v2 object\n"
          "  --sarif       SARIF 2.1.0 log (code-scanning upload format)\n"
          "  --builtin X   analyze a builtin mail view instead of a file\n"
          "  --deployment  whole-deployment analysis: the builtin mail\n"
          "                deployment (all five views, both Table 4 matrices,\n"
          "                a deterministic demo credential repository), plus\n"
          "                any <view.xml> files as extra registered views;\n"
-         "                adds PSA080-083 and call-site monomorphism facts\n"
+         "                adds PSA080-083\n"
          "  --rule R=V    append row role R -> view V to the mail service's\n"
          "                access matrix (deployment mode; R names a Comp.NY\n"
          "                role, e.g. Member or Auditor)\n"
@@ -295,12 +294,6 @@ int run_deployment(const std::vector<Input>& extra_views,
       for (const auto& role : reach.roles) std::cout << " " << role;
       std::cout << "\n";
     }
-    std::size_t monomorphic = 0;
-    for (const auto& site : result.call_sites) {
-      monomorphic += site.monomorphic ? 1 : 0;
-    }
-    std::cout << result.call_sites.size() << " member-call site(s), "
-              << monomorphic << " monomorphic\n";
     for (const auto& d : result.diagnostics) {
       std::cout << "  " << severity_name(d.severity) << ": " << d.display()
                 << "\n";
