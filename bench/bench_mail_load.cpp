@@ -15,8 +15,7 @@
 //    collector, and asserts the soft/hard split shows zero hard drops;
 //  - measures the §4f observability-overhead gate AT LOAD: alternating
 //    min-of-N passes with the full load plane (journal + per-request events
-//    + exemplars + contention profiling) on vs off, and exits nonzero if
-//    the overhead exceeds 5%.
+//    + exemplars) on vs off, and exits nonzero if the overhead exceeds 5%.
 //
 // Writes BENCH_mail_load.json (psf-bench-v1).
 #include <algorithm>
@@ -33,11 +32,10 @@
 #include "mail/sharded.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/value_codec.hpp"
-#include "obs/contention.hpp"
+#include "obs/health.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "switchboard/channel.hpp"
 #include "switchboard/event_loop.hpp"
@@ -368,7 +366,6 @@ void reproduce_event_core(
             << ramp.back() << " sessions\n";
 
   obs::journal::set_enabled(true);
-  obs::set_contention_profiling(true);
   // ISSUE 9: the continuous profiler rides the whole event section. The
   // loop threads registered themselves in EventLoop::run() at
   // reactor.start(); default cadence (997 us CPU, tick-floored to ~4-10 ms
@@ -491,14 +488,12 @@ void reproduce_event_core(
   double on_s = 1e300, off_s = 1e300;
   const auto run_off = [&] {
     obs::journal::set_enabled(false);
-    obs::set_contention_profiling(false);
     rpc_us.set_exemplar_threshold(INT64_MAX);
     off_s = std::min(off_s, run_event_loaded(by_worker, requests_by_worker,
                                              gate_requests, rpc_us));
   };
   const auto run_on = [&] {
     obs::journal::set_enabled(true);
-    obs::set_contention_profiling(true);
     rpc_us.set_exemplar_threshold(event_threshold_us);
     on_s = std::min(on_s, run_event_loaded(by_worker, requests_by_worker,
                                            gate_requests, rpc_us));
@@ -513,7 +508,6 @@ void reproduce_event_core(
     }
   }
   obs::journal::set_enabled(true);
-  obs::set_contention_profiling(true);
   const double on_us = on_s / static_cast<double>(gate_requests) * 1e6;
   const double off_us = off_s / static_cast<double>(gate_requests) * 1e6;
   const double overhead_pct =
@@ -655,8 +649,7 @@ void reproduce_event_core(
 }
 
 void reproduce() {
-  obs::install_builtin_slos();  // declares switchboard.rpc over rpc_us
-  obs::install_lock_contention_profiler();
+  obs::install_builtin_checks();  // slo.switchboard.rpc over rpc_us
   obs::journal::set_enabled(true);
   obs::journal::reset();
 
@@ -726,7 +719,7 @@ void reproduce() {
 
     if (step == 0) {
       // Adaptive exemplar threshold: the warmup step's p90 defines "tail"
-      // for the rest of the ramp (the builtin SLO armed a fixed 500us,
+      // for the rest of the ramp (the builtin objective armed a fixed 500us,
       // which healthy RPCs never reach on this fixture).
       adaptive_threshold_us =
           std::max<std::int64_t>(1, delta_percentile(before, after, 90.0));
@@ -764,13 +757,15 @@ void reproduce() {
             << " events absorbed by the overflow ring, " << hard_drops
             << " lost\n";
 
-  // SLO plane after the ramp: at 500us the secure-RPC objective must not be
-  // burning error budget under this (healthy) load.
-  double rpc_burn = 0.0;
-  for (const auto& status : obs::SloRegistry::instance().evaluate()) {
-    if (status.spec.name == "switchboard.rpc") rpc_burn = status.burn;
+  // Latency objective after the ramp: at 500us the secure-RPC objective
+  // should not be burning error budget under this (healthy) load.
+  for (const auto& entry : obs::HealthRegistry::instance().report().entries) {
+    if (entry.name == "slo.switchboard.rpc") {
+      std::cout << "  [slo] switchboard.rpc "
+                << obs::health_level_name(entry.result.level) << ": "
+                << entry.result.reason << "\n";
+    }
   }
-  std::cout << "  [slo] switchboard.rpc burn rate " << rpc_burn << "\n";
 
   // The §4f gate, measured at load: alternate full-load-plane-on and -off
   // passes and keep each configuration's best wall clock; the minima cancel
@@ -784,13 +779,11 @@ void reproduce() {
   double on_s = 1e300, off_s = 1e300, chatty_s = 1e300;
   const auto run_off = [&] {
     obs::journal::set_enabled(false);
-    obs::set_contention_profiling(false);
     rpc_us.set_exemplar_threshold(INT64_MAX);
     off_s = std::min(off_s, run_loaded(workers, gate_requests, false));
   };
   const auto load_plane_on = [&] {
     obs::journal::set_enabled(true);
-    obs::set_contention_profiling(true);
     rpc_us.set_exemplar_threshold(adaptive_threshold_us);
   };
   const auto run_on = [&] {

@@ -20,6 +20,9 @@ int main() {
   // Dump-on-fault: if anything below terminates the process, the flight
   // recorder's newest events go to stderr (and $PSF_JOURNAL_FAULT_DUMP).
   obs::journal::install_terminate_handler();
+  // Health checks before the story, so the latency objectives
+  // (slo.<name>) judge every RPC, proof and sync it runs.
+  obs::install_builtin_checks();
 
   mail::Scenario s = mail::build_scenario();
   framework::Psf& psf = *s.psf;
@@ -153,7 +156,6 @@ int main() {
   // Health plane: per-connection and metrics-derived checks rolled up into
   // one node status. Bob's suspended-then-revalidated connection is OK
   // again; the revocation-lag check remembers nothing is outstanding.
-  obs::install_builtin_checks();
   std::cout << "\n== Observability: node health ==\n"
             << obs::health_to_text(obs::HealthRegistry::instance().report());
   return 0;

@@ -8,8 +8,7 @@ either direction — so adding a flag without documenting it (or documenting
 a flag that no longer exists) breaks CI, not a user.
 
 A flag counts as documented if it appears in backticks inside a table row
-of the tool's section (aliases mentioned in a row's description, like
-`--text` for obs_dump, count). -h shorthands are ignored: the contract is
+of the tool's section (aliases mentioned in a row's description count). -h shorthands are ignored: the contract is
 over long options only.
 
 The same two-way check runs over environment variables: the first column
@@ -32,7 +31,7 @@ import re
 import subprocess
 import sys
 
-TOOLS = ["obsd_query", "obs_dump", "psf_analyze", "vig_cli"]
+TOOLS = ["obsd_query", "psf_analyze", "vig_cli"]
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 ENV_DIRS = ["src", "tools", "bench"]
 ENV_READ_RE = re.compile(r'\b(?:getenv|env_int)\("(PSF_[A-Z0-9_]+)"')

@@ -36,6 +36,53 @@ void HealthRegistry::remove(Token token) {
   checks_.erase(token);
 }
 
+namespace {
+
+/// (total, bad) observations of `hist` against a threshold.
+std::pair<std::uint64_t, std::uint64_t> counts_over(const Histogram& hist,
+                                                    std::int64_t threshold_us) {
+  const Histogram::Snapshot snap = hist.snapshot();
+  std::uint64_t good = 0;
+  for (std::size_t i = 0; i < snap.bounds.size(); ++i) {
+    if (snap.bounds[i] <= threshold_us) good += snap.bucket_counts[i];
+  }
+  return {snap.count, snap.count - std::min(good, snap.count)};
+}
+
+std::uint64_t saturating_sub(std::uint64_t a, std::uint64_t b) {
+  return a >= b ? a - b : a;  // b > a means the base predates a reset
+}
+
+}  // namespace
+
+HealthRegistry::Token HealthRegistry::add_latency_objective(
+    const std::string& name, const std::string& histogram_name,
+    std::int64_t threshold_us) {
+  Histogram& hist = histogram(histogram_name);
+  hist.set_exemplar_threshold(threshold_us);
+  const auto [base_total, base_bad] = counts_over(hist, threshold_us);
+  return add("slo." + name, [&hist, threshold_us, base_total = base_total,
+                             base_bad = base_bad] {
+    const auto [now_total, now_bad] = counts_over(hist, threshold_us);
+    // Saturating: Registry::reset() may zero the histogram underneath.
+    const std::uint64_t total = saturating_sub(now_total, base_total);
+    const std::uint64_t bad = saturating_sub(now_bad, base_bad);
+    const double burn =
+        total == 0 ? 0.0
+                   : static_cast<double>(bad) / static_cast<double>(total) /
+                         (1.0 - kObjectiveTarget);
+    std::ostringstream os;
+    os << "burn " << burn << " (" << bad << "/" << total << " over "
+       << threshold_us << "us, target " << kObjectiveTarget * 100.0 << "%)";
+    if (total < kObjectiveMinSamples) {
+      return CheckResult::ok("warming up: " + os.str());
+    }
+    if (burn >= kObjectiveFailingBurn) return CheckResult::failing(os.str());
+    if (burn >= 1.0) return CheckResult::degraded(os.str());
+    return CheckResult::ok(os.str());
+  });
+}
+
 HealthReport HealthRegistry::report() const {
   // Copy the checks out so a check body can add/remove registrations (e.g. a
   // teardown triggered by a probe) without deadlocking on mutex_.
@@ -167,6 +214,15 @@ void install_builtin_checks() {
       if (suspended > resolved) return CheckResult::degraded(os.str());
       return CheckResult::ok(os.str());
     });
+    registry.add_latency_objective("switchboard.rpc", "psf.switchboard.rpc_us",
+                                   500);
+    registry.add_latency_objective("drbac.prove", "psf.drbac.prove_us", 1000);
+    registry.add_latency_objective("views.sync",
+                                   "psf.views.cache.pull_wait_us", 500);
+    // A task posted to a loop should start within 1 ms: sustained sojourn
+    // above that means the loop is saturated or a handler hogs it.
+    registry.add_latency_objective("loop.lag", "psf.loop.task_sojourn_us",
+                                   1000);
     return true;
   }();
   (void)installed;

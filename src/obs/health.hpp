@@ -4,8 +4,16 @@
 // wins). Checks are registered by the layer that owns the signal —
 // Switchboard registers one per live connection, install_builtin_checks()
 // derives the rest from the metrics registry (journal/span drop rates, cache
-// hit-rate floors, revocation-monitor lag) — and removed via their token
-// when the owner goes away. report() never blocks a hot path: checks read atomics and snapshots.
+// hit-rate floors, revocation-monitor lag, latency objectives) — and removed
+// via their token when the owner goes away. report() never blocks a hot
+// path: checks read atomics and snapshots.
+//
+// A latency objective ("99% of observations of histogram h are <= t us") is
+// one more check, `slo.<name>`, judged by its error-budget burn rate:
+// burn = (bad / total) / (1 - 0.99) over the observations since the
+// objective was added. Burn < 1 is inside budget (OK), >= 1 spends it
+// faster than it accrues (DEGRADED), >= 10 blows it quickly (FAILING);
+// fewer than 100 observations is warming up (OK).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +27,12 @@
 namespace psf::obs {
 
 enum class HealthLevel { kOk = 0, kDegraded = 1, kFailing = 2 };
+
+/// Every latency objective's target fraction, FAILING burn rate, and the
+/// observations it needs before it judges at all.
+inline constexpr double kObjectiveTarget = 0.99;
+inline constexpr double kObjectiveFailingBurn = 10.0;
+inline constexpr std::uint64_t kObjectiveMinSamples = 100;
 
 const char* health_level_name(HealthLevel level);
 
@@ -64,6 +78,16 @@ class HealthRegistry {
   Token add(std::string name, Check check);
   void remove(Token token);
 
+  /// Register `slo.<name>`: kObjectiveTarget of the observations `histogram`
+  /// receives from now on must be <= threshold_us. Also arms the
+  /// histogram's exemplar threshold there, so the observations that burn
+  /// the budget are the ones whose traces get pinned. Thresholds should sit
+  /// on the {1,2,5}x10^k bucket edges: a bucket counts as good iff its
+  /// upper edge is <= threshold_us.
+  Token add_latency_objective(const std::string& name,
+                              const std::string& histogram,
+                              std::int64_t threshold_us);
+
   /// Run every check and roll up. A check that throws reports FAILING with
   /// the exception text — a health probe must never take the node down.
   HealthReport report() const;
@@ -85,6 +109,13 @@ class HealthRegistry {
 ///   drbac.sigcache.hit-rate    SignatureCache floor (needs >=100 lookups)
 ///   drbac.proofcache.hit-rate  ProofCache floor (needs >=100 lookups)
 ///   switchboard.revocation-lag suspensions not yet revalidated
+/// and the latency objectives:
+///   slo.switchboard.rpc  secure RPCs (psf.switchboard.rpc_us) <= 500us
+///   slo.drbac.prove      delegation proofs (psf.drbac.prove_us) <= 1ms
+///   slo.views.sync       coherence pulls (psf.views.cache.pull_wait_us)
+///                        <= 500us
+///   slo.loop.lag         event-loop task sojourns
+///                        (psf.loop.task_sojourn_us) <= 1ms
 void install_builtin_checks();
 
 /// JSON document: {"status": "ok|degraded|failing", "checks": [...]}.

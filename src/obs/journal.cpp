@@ -320,7 +320,6 @@ std::string event_name(std::uint16_t subsystem, std::uint16_t code) {
     case Subsystem::kObs:
       switch (code) {
         case kObFaultDump: return "fault-dump";
-        case kObLockContended: return "lock-contended";
       }
       break;
   }

@@ -85,8 +85,8 @@ enum PsfEvent : std::uint16_t {
   kPsRequestFailed = 2,  // a0=tag(service), a1=tag(client node), a2=tag(code)
 };
 enum ObsEvent : std::uint16_t {
-  kObFaultDump = 1,      // a0=events written
-  kObLockContended = 2,  // a0=tag(site), a1=rank, a2=wait ns
+  kObFaultDump = 1,  // a0=events written
+  // 2 is retired (lock-contended); codes are never reused.
 };
 
 /// One recorded event (fixed 64-byte layout; args beyond the event's arity

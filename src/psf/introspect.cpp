@@ -5,13 +5,11 @@
 #include <stdexcept>
 
 #include "minilang/parser.hpp"
-#include "obs/contention.hpp"
 #include "obs/export.hpp"
 #include "obs/health.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace psf::framework {
@@ -68,8 +66,6 @@ void register_introspect_components(ClassRegistry& registry) {
   deep.name = "IntrospectDeepI";
   deep.methods = {{"journal_tail", {"n"}},
                   {"spans_for_trace", {"id"}},
-                  {"slo_status", {}},
-                  {"lock_contention", {}},
                   {"profile_status", {}},
                   {"profile_dump", {}}};
   registry.register_interface(deep);
@@ -119,18 +115,6 @@ void register_introspect_components(ClassRegistry& registry) {
             args.empty() ? 0 : parse_trace_id(args[0]);
         return Value::string(obs::spans_to_json(
             obs::SpanCollector::instance().spans_for_trace(id)));
-      }));
-  cls->methods.push_back(native_method(
-      "slo_status", {}, "IntrospectDeepI",
-      [](minilang::Instance&, std::vector<Value>) {
-        // peek(): probing objectives over RPC must not rotate windows.
-        return Value::string(
-            obs::slo_to_json(obs::SloRegistry::instance().peek()));
-      }));
-  cls->methods.push_back(native_method(
-      "lock_contention", {}, "IntrospectDeepI",
-      [](minilang::Instance&, std::vector<Value>) {
-        return Value::string(obs::contention_to_json(obs::contention_report()));
       }));
   cls->methods.push_back(native_method(
       "profile_status", {}, "IntrospectDeepI",
@@ -238,8 +222,6 @@ util::Result<std::string> install_introspection(Psf& psf,
   if (!defined.ok()) return defined;
 
   obs::install_builtin_checks();
-  obs::install_builtin_slos();
-  obs::install_lock_contention_profiler();
   return defined;
 }
 

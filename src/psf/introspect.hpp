@@ -7,13 +7,13 @@
 // get the full surface (IntrospectI + IntrospectDeepI) over Switchboard RPC;
 // callers holding only Viewer get a metrics+health view with the deep
 // interface stripped out at code-generation time (the restricted view's
-// class simply has no journal_tail / spans_for_trace / slo_status /
-// lock_contention methods — attenuation by construction, not by runtime
+// class simply has no journal_tail / spans_for_trace / profile_status /
+// profile_dump methods — attenuation by construction, not by runtime
 // checks); everyone else is denied by the ACL. This dogfoods the paper's
 // own mechanism: the view IS the authorization boundary.
 //
 // All methods return JSON strings (metrics-snapshot-v1 / health /
-// journal-v1 / spans-v1 / slo-v1 / contention-v1 documents) so any
+// journal-v1 / spans-v1 / profile-v1 / speedscope documents) so any
 // transport — Switchboard RPC, the obsd_query CLI, tests — consumes one
 // stable format.
 #pragma once
@@ -58,7 +58,7 @@ struct IntrospectOptions {
 ///     other domains (the Table 2 credential (14)/(17) pattern),
 ///  4. defines the origin-only service with the Monitor/Viewer ACL
 ///     (default: deny),
-///  5. installs the built-in health checks.
+///  5. installs the built-in health checks, latency objectives included.
 /// Returns the service name. Callers then grant <domain>.Monitor /
 /// <domain>.Viewer to operator principals and psf.request() as usual.
 util::Result<std::string> install_introspection(Psf& psf,

@@ -17,25 +17,21 @@
 // Cost model: in Debug (and whenever PSF_LOCK_RANK is defined explicitly,
 // e.g. for the lock_rank_test target in release CI) each lock/unlock does a
 // thread-local vector push/pop. With NDEBUG and no PSF_LOCK_RANK the
-// wrapper collapses to the underlying mutex — no state, no branches — so
-// release builds pay nothing.
+// wrapper keeps no rank state, so release builds pay only the try_lock
+// described below.
 //
 // Obs-layer mutexes (metrics shards, journal ring registry, health) are
 // intentionally unranked: they are leaf locks acquired from everywhere,
 // including inside ranked critical sections, and never call out.
 //
-// Contention profiling (ISSUE 6): every ranked site doubles as a contention
-// probe in BOTH build flavors. lock() first try_locks; only when that fails
-// (the lock was actually contended) does it time the blocking acquire and
-// hand (site name, rank, wait ns) to the installed contention::Hook. With
-// the hook disabled the extra cost is one try_lock on the uncontended path
-// and nothing else; the obs layer installs a hook that feeds per-site
-// wait-time histograms and kObLockContended journal events.
+// Lock waits are visible to the sampling profiler (obs/profile) in BOTH
+// build flavors: lock() first try_locks, and only when that fails (the lock
+// is actually contended) does it publish the site in the thread's WaitSlot
+// for the duration of the blocking acquire, so a sample taken while blocked
+// ends in a `lock:<site>` frame. The uncontended path pays one try_lock.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -61,32 +57,6 @@ enum class LockRank : int {
 
 namespace contention {
 
-/// Receives one sample per contended acquisition of a ranked site: the
-/// site's static name, its rank, and how long the acquire blocked. Must not
-/// itself take ranked locks (it runs while the caller already holds one).
-using Hook = void (*)(const char* site, int rank, std::int64_t wait_ns);
-
-namespace detail {
-inline std::atomic<Hook>& hook_slot() {
-  static std::atomic<Hook> hook{nullptr};
-  return hook;
-}
-inline std::atomic<bool>& enabled_slot() {
-  static std::atomic<bool> enabled{false};
-  return enabled;
-}
-/// True when a failed try_lock should be timed and reported.
-inline bool active() {
-  return detail::enabled_slot().load(std::memory_order_relaxed) &&
-         detail::hook_slot().load(std::memory_order_relaxed) != nullptr;
-}
-inline void report(const char* site, int rank, std::int64_t wait_ns) {
-  if (Hook hook = detail::hook_slot().load(std::memory_order_acquire)) {
-    hook(site, rank, wait_ns);
-  }
-}
-}  // namespace detail
-
 namespace detail {
 
 /// Published for the sampling profiler (obs/profile): the ranked site the
@@ -105,8 +75,6 @@ inline WaitSlot& wait_slot() {
 }
 
 /// RAII publication bracketing one blocking acquire of a contended site.
-/// Unconditional (independent of contention::active()): the profiler wants
-/// the wait site even when the contention hook is disabled.
 class ScopedWait {
  public:
   ScopedWait(const char* site, int rank) {
@@ -124,21 +92,6 @@ class ScopedWait {
 /// Profiler access point: the calling thread's blocked-on-lock slot (see
 /// obs/profile.hpp). Resolved once at thread registration.
 inline detail::WaitSlot& thread_wait_slot() { return detail::wait_slot(); }
-
-/// Install the process-wide hook (nullptr uninstalls); returns the previous
-/// one. Installing does not enable sampling — set_enabled(true) does.
-inline Hook set_hook(Hook hook) {
-  return detail::hook_slot().exchange(hook, std::memory_order_acq_rel);
-}
-
-/// Runtime gate, default off: with no profiler installed the only cost a
-/// ranked site pays is one relaxed load on the contended path.
-inline bool enabled() {
-  return detail::enabled_slot().load(std::memory_order_relaxed);
-}
-inline void set_enabled(bool on) {
-  detail::enabled_slot().store(on, std::memory_order_relaxed);
-}
 
 }  // namespace contention
 
@@ -227,17 +180,7 @@ class RankedMutex {
     lock_rank::detail::check(rank_, name_);
     if (!mutex_.try_lock()) {
       contention::detail::ScopedWait waiting(name_, rank_);
-      if (contention::detail::active()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        mutex_.lock();
-        contention::detail::report(
-            name_, rank_,
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      } else {
-        mutex_.lock();
-      }
+      mutex_.lock();
     }
     lock_rank::detail::push(this, rank_, name_);
   }
@@ -258,17 +201,7 @@ class RankedMutex {
     lock_rank::detail::check(rank_, name_);
     if (!static_cast<M&>(mutex_).try_lock_shared()) {
       contention::detail::ScopedWait waiting(name_, rank_);
-      if (contention::detail::active()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        static_cast<M&>(mutex_).lock_shared();
-        contention::detail::report(
-            name_, rank_,
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      } else {
-        static_cast<M&>(mutex_).lock_shared();
-      }
+      static_cast<M&>(mutex_).lock_shared();
     }
     lock_rank::detail::push(this, rank_, name_);
   }
@@ -290,8 +223,8 @@ class RankedMutex {
   const char* name_;
 };
 
-#else  // !PSF_LOCK_RANK_ENABLED — passthrough (no rank state, but ranked
-       // sites remain contention probes; see header comment)
+#else  // !PSF_LOCK_RANK_ENABLED — passthrough (no rank state, but waits
+       // are still published to the profiler; see header comment)
 
 template <typename MutexT>
 class RankedMutex {
@@ -304,17 +237,7 @@ class RankedMutex {
   void lock() {
     if (mutex_.try_lock()) return;
     contention::detail::ScopedWait waiting(name_, rank_);
-    if (contention::detail::active()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      mutex_.lock();
-      contention::detail::report(
-          name_, rank_,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    } else {
-      mutex_.lock();
-    }
+    mutex_.lock();
   }
   void unlock() { mutex_.unlock(); }
   bool try_lock() { return mutex_.try_lock(); }
@@ -323,17 +246,7 @@ class RankedMutex {
   void lock_shared() {
     if (static_cast<M&>(mutex_).try_lock_shared()) return;
     contention::detail::ScopedWait waiting(name_, rank_);
-    if (contention::detail::active()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      static_cast<M&>(mutex_).lock_shared();
-      contention::detail::report(
-          name_, rank_,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    } else {
-      static_cast<M&>(mutex_).lock_shared();
-    }
+    static_cast<M&>(mutex_).lock_shared();
   }
   template <typename M = MutexT>
   void unlock_shared() {

@@ -157,7 +157,7 @@ TEST(ProfileConcurrency, SamplingDuringJournalDrain) {
       profile::register_thread(name.c_str());
       for (std::uint64_t i = 0; i < kIters; ++i) {
         ScopedSpan span("torture.mixed");
-        journal::emit(journal::Subsystem::kObs, journal::kObLockContended,
+        journal::emit(journal::Subsystem::kObs, 95,
                       journal::tag("torture.site"), 1, i);
         profile::sample_current_thread();
       }

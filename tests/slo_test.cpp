@@ -1,27 +1,27 @@
-// SLO registry (ISSUE 6): declared latency objectives over registry
-// histograms, burn-rate arithmetic, rolling-window rotation, the health
-// checks each declaration registers, and the contention profiler that
-// shares this binary (both are small obs satellites of the load-plane PR).
+// Latency objectives on the health plane: HealthRegistry's
+// add_latency_objective() arms the histogram's exemplar threshold and
+// registers an `slo.<name>` check that judges error-budget burn since the
+// objective was added (target 99%, FAILING at burn 10, warming up below 100
+// observations), and install_builtin_checks() adds the framework's four.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
+#include <cstdint>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "obs/contention.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
-#include "util/lock_rank.hpp"
 
 namespace psf::obs {
 namespace {
 
-/// Finds the entry registered as "slo.<name>", or nullptr.
+/// Every entry registered under `name`, counted.
+std::size_t count_checks(const HealthReport& report, const std::string& name) {
+  std::size_t n = 0;
+  for (const auto& entry : report.entries) n += entry.name == name ? 1 : 0;
+  return n;
+}
+
+/// The entry registered as `name`, or nullptr.
 const HealthReport::Entry* find_check(const HealthReport& report,
                                       const std::string& name) {
   for (const auto& entry : report.entries) {
@@ -31,225 +31,97 @@ const HealthReport::Entry* find_check(const HealthReport& report,
 }
 
 TEST(Slo, DeclareArmsExemplarThresholdAndRegistersHealthCheck) {
-  SloRegistry& slos = SloRegistry::instance();
-  slos.clear();
+  HealthRegistry& health = HealthRegistry::instance();
   Histogram& h = histogram("test.slo.arm_us");
   h.set_exemplar_threshold(INT64_MAX);
 
-  SloSpec spec;
-  spec.name = "test.arm";
-  spec.histogram = "test.slo.arm_us";
-  spec.threshold_us = 500;
-  slos.declare(spec);
+  const HealthRegistry::Token token =
+      health.add_latency_objective("test.arm", "test.slo.arm_us", 500);
 
   EXPECT_EQ(h.exemplar_threshold(), 500);
-  const HealthReport report = HealthRegistry::instance().report();
+  const HealthReport report = health.report();
   const auto* check = find_check(report, "slo.test.arm");
   ASSERT_NE(check, nullptr);
   // Cold operation: warming up, OK.
   EXPECT_EQ(check->result.level, HealthLevel::kOk);
-  slos.clear();
-  const HealthReport after_clear = HealthRegistry::instance().report();
-  EXPECT_EQ(find_check(after_clear, "slo.test.arm"), nullptr);
+  health.remove(token);
+  EXPECT_EQ(find_check(health.report(), "slo.test.arm"), nullptr);
 }
 
 TEST(Slo, BurnRateCountsObservationsAboveThreshold) {
-  SloRegistry& slos = SloRegistry::instance();
-  slos.clear();
+  HealthRegistry& health = HealthRegistry::instance();
   Histogram& h = histogram("test.slo.burn_us");
+  // Observations before the objective exists are not judged.
+  for (int i = 0; i < 50; ++i) h.observe(5000);
 
-  SloSpec spec;
-  spec.name = "test.burn";
-  spec.histogram = "test.slo.burn_us";
-  spec.threshold_us = 500;   // on the decade grid: accounting is exact
-  spec.target = 0.99;        // budget: 1% may exceed 500us
-  spec.min_samples = 100;
-  slos.declare(spec);
+  // 500us is on the decade grid, so the bucket accounting is exact.
+  const HealthRegistry::Token token =
+      health.add_latency_objective("test.burn", "test.slo.burn_us", 500);
 
-  // 98 good, 2 bad out of 100: bad fraction 2%, budget 1% -> burn 2.
-  for (int i = 0; i < 98; ++i) h.observe(10);
+  // 97 good and 2 bad: burn 2, but below kObjectiveMinSamples it only warms.
+  for (int i = 0; i < 97; ++i) h.observe(10);
   h.observe(600);
   h.observe(700);
+  const HealthReport warm_report = health.report();
+  const auto* warming = find_check(warm_report, "slo.test.burn");
+  ASSERT_NE(warming, nullptr);
+  EXPECT_EQ(warming->result.level, HealthLevel::kOk);
+  EXPECT_EQ(warming->result.reason.rfind("warming up: ", 0), 0u)
+      << warming->result.reason;
 
-  const auto statuses = slos.peek();
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_EQ(statuses[0].total, 100u);
-  EXPECT_EQ(statuses[0].bad, 2u);
-  EXPECT_NEAR(statuses[0].burn, 2.0, 1e-9);
-  EXPECT_TRUE(statuses[0].window_mature);
-
-  // Burn >= 1 with a mature window: the health plane shows DEGRADED.
-  const HealthReport report = HealthRegistry::instance().report();
+  // The 100th: 98 good, 2 bad -> bad fraction 2%, budget 1%, burn 2.
+  h.observe(10);
+  const HealthReport report = health.report();
   const auto* check = find_check(report, "slo.test.burn");
   ASSERT_NE(check, nullptr);
   EXPECT_EQ(check->result.level, HealthLevel::kDegraded);
-  slos.clear();
-}
-
-TEST(Slo, EvaluateRotatesTheWindowPeekDoesNot) {
-  SloRegistry& slos = SloRegistry::instance();
-  slos.clear();
-  Histogram& h = histogram("test.slo.window_us");
-
-  SloSpec spec;
-  spec.name = "test.window";
-  spec.histogram = "test.slo.window_us";
-  spec.threshold_us = 500;
-  spec.min_samples = 10;
-  slos.declare(spec);
-
-  for (int i = 0; i < 10; ++i) h.observe(600);  // every observation bad
-  // peek() twice: the window never rotates.
-  EXPECT_EQ(slos.peek()[0].window_total, 10u);
-  EXPECT_EQ(slos.peek()[0].window_total, 10u);
-
-  // evaluate() reports the same pre-rotation state, then rotates.
-  const auto before = slos.evaluate();
-  EXPECT_EQ(before[0].window_total, 10u);
-  EXPECT_GT(before[0].window_burn, 1.0);
-  const auto after = slos.peek();
-  EXPECT_EQ(after[0].window_total, 0u);       // fresh window
-  EXPECT_EQ(after[0].total, 10u);             // cumulative view unaffected
-  EXPECT_GT(after[0].burn, 1.0);
-  slos.clear();
+  EXPECT_NE(check->result.reason.find("burn 2 (2/100 over 500us"),
+            std::string::npos)
+      << check->result.reason;
+  health.remove(token);
 }
 
 TEST(Slo, FailingBurnEscalatesHealthToFailing) {
-  SloRegistry& slos = SloRegistry::instance();
-  slos.clear();
+  HealthRegistry& health = HealthRegistry::instance();
   Histogram& h = histogram("test.slo.failing_us");
+  for (int i = 0; i < 300; ++i) h.observe(10);
 
-  SloSpec spec;
-  spec.name = "test.failing";
-  spec.histogram = "test.slo.failing_us";
-  spec.threshold_us = 500;
-  spec.target = 0.99;
-  spec.failing_burn = 10.0;
-  spec.min_samples = 100;
-  slos.declare(spec);
+  const HealthRegistry::Token token =
+      health.add_latency_objective("test.failing", "test.slo.failing_us", 500);
 
-  // Every observation bad: burn = 1.0 / 0.01 = 100 >> failing_burn.
-  for (int i = 0; i < 100; ++i) h.observe(5000);
-  const HealthReport report = HealthRegistry::instance().report();
+  // Registry::reset() zeroes the histogram underneath the objective, whose
+  // base (300 observations) now predates the reset: the counts since the
+  // reset are judged as they are instead of underflowing.
+  Registry::instance().reset();
+  for (int i = 0; i < 85; ++i) h.observe(10);
+  for (int i = 0; i < 15; ++i) h.observe(5000);
+  // bad fraction 15%, budget 1%: burn 15 >= kObjectiveFailingBurn.
+  const HealthReport report = health.report();
   const auto* check = find_check(report, "slo.test.failing");
   ASSERT_NE(check, nullptr);
   EXPECT_EQ(check->result.level, HealthLevel::kFailing);
-  slos.clear();
+  EXPECT_NE(check->result.reason.find("(15/100 over 500us"), std::string::npos)
+      << check->result.reason;
+  health.remove(token);
 }
 
 TEST(Slo, BuiltinSlosDeclareTheStandardTriple) {
-  install_builtin_slos();
-  const auto statuses = SloRegistry::instance().peek();
-  std::vector<std::string> names;
-  for (const auto& s : statuses) names.push_back(s.spec.name);
-  EXPECT_NE(std::find(names.begin(), names.end(), "switchboard.rpc"),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "drbac.prove"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "views.sync"), names.end());
-  // ISSUE 9 added the event-loop responsiveness objective to the builtins.
-  EXPECT_NE(std::find(names.begin(), names.end(), "loop.lag"), names.end());
-  // A quiet process must not fail its objectives.
+  install_builtin_checks();
+  install_builtin_checks();  // idempotent
   const HealthReport report = HealthRegistry::instance().report();
   for (const char* name : {"slo.switchboard.rpc", "slo.drbac.prove",
                            "slo.views.sync", "slo.loop.lag"}) {
+    EXPECT_EQ(count_checks(report, name), 1u) << name;
+    // A quiet process must not fail its objectives.
     const auto* check = find_check(report, name);
     ASSERT_NE(check, nullptr) << name;
     EXPECT_EQ(check->result.level, HealthLevel::kOk) << name;
   }
-}
-
-TEST(Slo, JsonRenderingCarriesBurnAndWindowFields) {
-  SloRegistry& slos = SloRegistry::instance();
-  slos.clear();
-  SloSpec spec;
-  spec.name = "test.json";
-  spec.histogram = "test.slo.json_us";
-  spec.threshold_us = 200;
-  slos.declare(spec);
-  const std::string json = slo_to_json(slos.peek());
-  EXPECT_NE(json.find("\"version\":\"slo-v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"test.json\""), std::string::npos);
-  EXPECT_NE(json.find("\"threshold_us\":200"), std::string::npos);
-  EXPECT_NE(json.find("\"burn\":"), std::string::npos);
-  EXPECT_NE(json.find("\"window_mature\":"), std::string::npos);
-  slos.clear();
-}
-
-// ------------------------------------------------------------- contention
-
-TEST(Contention, ContendedRankedLockFeedsHookMetricsAndReport) {
-  install_lock_contention_profiler();
-  reset_contention();
-  util::RankedMutex<std::mutex> mu(util::LockRank::kRepository,
-                                   "test.contended");
-
-  // Force real contention: one thread camps on the lock while another
-  // blocks on it.
-  std::atomic<bool> locked{false};
-  std::thread holder([&] {
-    mu.lock();
-    locked.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    mu.unlock();
-  });
-  while (!locked.load()) std::this_thread::yield();
-  mu.lock();  // blocks until the holder lets go -> contention sample
-  mu.unlock();
-  holder.join();
-
-  const ContentionReport report = contention_report();
-  const ContentionSite* site = nullptr;
-  for (const auto& s : report.sites) {
-    if (s.site == "test.contended") site = &s;
-  }
-  ASSERT_NE(site, nullptr);
-  EXPECT_GE(site->samples, 1u);
-  EXPECT_GT(site->total_wait_ns, 0);
-  EXPECT_EQ(site->rank, static_cast<int>(util::LockRank::kRepository));
-  EXPECT_GE(counter("psf.lock.test.contended.contended").value(), 1u);
-  EXPECT_GE(histogram("psf.lock.test.contended.wait_us").count(), 1u);
-
-  const std::string json = contention_to_json(report);
-  EXPECT_NE(json.find("\"version\":\"contention-v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"site\":\"test.contended\""), std::string::npos);
-}
-
-TEST(Contention, DisabledGateSuppressesSampling) {
-  install_lock_contention_profiler();
-  reset_contention();
-  set_contention_profiling(false);
-  util::RankedMutex<std::mutex> mu(util::LockRank::kRepository,
-                                   "test.gated");
-  std::atomic<bool> locked{false};
-  std::thread holder([&] {
-    mu.lock();
-    locked.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    mu.unlock();
-  });
-  while (!locked.load()) std::this_thread::yield();
-  mu.lock();
-  mu.unlock();
-  holder.join();
-  set_contention_profiling(true);
-
-  for (const auto& s : contention_report().sites) {
-    EXPECT_NE(s.site, "test.gated") << "sampled while the gate was off";
-  }
-}
-
-TEST(Contention, UncontendedLockNeverSamples) {
-  install_lock_contention_profiler();
-  reset_contention();
-  util::RankedMutex<std::mutex> mu(util::LockRank::kGuardCache,
-                                   "test.uncontended");
-  for (int i = 0; i < 100; ++i) {
-    mu.lock();
-    mu.unlock();
-  }
-  for (const auto& s : contention_report().sites) {
-    EXPECT_NE(s.site, "test.uncontended");
-  }
+  EXPECT_EQ(histogram("psf.switchboard.rpc_us").exemplar_threshold(), 500);
+  EXPECT_EQ(histogram("psf.drbac.prove_us").exemplar_threshold(), 1000);
+  EXPECT_EQ(histogram("psf.views.cache.pull_wait_us").exemplar_threshold(),
+            500);
+  EXPECT_EQ(histogram("psf.loop.task_sojourn_us").exemplar_threshold(), 1000);
 }
 
 }  // namespace

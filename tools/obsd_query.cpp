@@ -8,18 +8,22 @@
 // the Introspect component.
 //
 //   obsd_query [--as admin|viewer|anonymous] [metrics|health|journal [n]|
-//               spans [trace-id]|slo|contention|profile [status|dump]|all]
+//               spans [trace-id]|profile [status|dump]|all]
 //
 //   --as admin      holds Admin.Monitor: full surface (default)
 //   --as viewer     holds Admin.Viewer: metrics+health view only; the deep
-//                   methods (journal/spans/slo/contention/profile) do not
-//                   exist on the generated view class
+//                   methods (journal/spans/profile) do not exist on the
+//                   generated view class
 //   --as anonymous  no Admin credential: the ACL denies the request
 //
-// Unknown arguments exit 2; denied access or failed queries exit 1.
+// Unknown arguments, a journal count that is not a whole non-negative
+// number and a trace id that is not hex exit 2; denied access or failed
+// queries exit 1.
+#include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,8 +41,8 @@ using psf::minilang::Value;
 
 void print_usage(std::ostream& out) {
   out << "usage: obsd_query [--as admin|viewer|anonymous] "
-         "[metrics|health|journal [n]|spans [trace-id]|slo|"
-         "contention|profile [status|dump]|all]\n"
+         "[metrics|health|journal [n]|spans [trace-id]|"
+         "profile [status|dump]|all]\n"
          "\n"
          "Remotely queries the view-served observability surface of the mail\n"
          "scenario over an authenticated, sealed Switchboard connection.\n"
@@ -51,17 +55,20 @@ void print_usage(std::ostream& out) {
          "\n"
          "commands:\n"
          "  metrics         counters and histogram snapshots\n"
-         "  health          liveness/readiness checks with reasons\n"
+         "  health          health checks with reasons, latency\n"
+         "                  objectives (slo.<name>) included\n"
          "  journal [n]     last n journal events (default 64)\n"
-         "  spans [trace-id] spans for a trace (default: latest dispatch)\n"
-         "  slo             SLO burn-rate status\n"
-         "  contention      lock contention profile\n"
+         "  spans [trace-id] spans for a hex trace id (default: latest\n"
+         "                  dispatch)\n"
          "  profile [status|dump]\n"
          "                  sampling-profiler status (default) or a\n"
-         "                  speedscope-JSON flamegraph of the workload\n"
+         "                  speedscope-JSON flamegraph of the workload;\n"
+         "                  lock waits show as lock:<site> frames\n"
          "  all             every section above (profile: status only)\n"
          "\n"
-         "Unknown arguments exit 2; denied access or failed queries exit 1.\n";
+         "Unknown arguments, a journal count that is not a whole\n"
+         "non-negative number and a trace id that is not hex exit 2;\n"
+         "denied access or failed queries exit 1.\n";
 }
 
 int usage() {
@@ -69,9 +76,9 @@ int usage() {
   return 2;
 }
 
-// Same representative workload as obs_dump: three clients, RPC + coherence
-// traffic, heartbeats, and a revocation, so the journal/spans have real
-// content for the introspection surface to report.
+// A representative workload: three clients, RPC + coherence traffic,
+// heartbeats, and a revocation, so the journal/spans have real content for
+// the introspection surface to report.
 void run_workload(Scenario& s) {
   psf::framework::Psf& psf = *s.psf;
   auto alice = psf.request(s.request_for(s.alice, Scenario::kNyPc));
@@ -90,6 +97,34 @@ void run_workload(Scenario& s) {
   } catch (const psf::minilang::EvalError&) {
     // Expected: the revocation suspended Bob's end.
   }
+}
+
+// The kernel services CPU-time timers at scheduler-tick granularity (~4-10
+// ms), so one ~30 ms workload pass yields a sample or two; a profiled run
+// repeats scenario build + workload this many times in all.
+constexpr int kProfiledPasses = 25;
+
+/// A whole non-negative decimal count, or nothing.
+std::optional<std::int64_t> parse_count(const std::string& s) {
+  std::int64_t n = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, n);
+  if (s.empty() || s[0] == '-' || ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return n;
+}
+
+/// One to sixteen hex digits, optionally 0x-prefixed.
+bool is_trace_hex(const std::string& s) {
+  const std::size_t skip =
+      s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') ? 2 : 0;
+  const std::size_t digits = s.size() - skip;
+  if (digits == 0 || digits > 16) return false;
+  for (std::size_t i = skip; i < s.size(); ++i) {
+    if (std::isxdigit(static_cast<unsigned char>(s[i])) == 0) return false;
+  }
+  return true;
 }
 
 std::string latest_dispatch_trace_hex() {
@@ -121,12 +156,18 @@ int main(int argc, char** argv) {
       role = args[++i];
     } else if (args[i] == "metrics" || args[i] == "health" ||
                args[i] == "journal" || args[i] == "spans" ||
-               args[i] == "slo" || args[i] == "contention" ||
                args[i] == "profile" || args[i] == "all") {
       command = args[i];
+      argument.clear();
+      // journal/spans take the next token unless it is an option; whatever
+      // they take must be a count or a trace id, never another command.
       if ((command == "journal" || command == "spans") &&
-          i + 1 < args.size()) {
+          i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
         argument = args[++i];
+        const bool valid = command == "journal"
+                               ? parse_count(argument).has_value()
+                               : is_trace_hex(argument);
+        if (!valid) return usage();
       }
       if (command == "profile" && i + 1 < args.size() &&
           (args[i + 1] == "status" || args[i + 1] == "dump")) {
@@ -154,11 +195,16 @@ int main(int argc, char** argv) {
 
   // Sample the workload when the profile surface is being queried, so
   // profile_status/profile_dump report real folded stacks. A dense interval
-  // (200 us CPU) keeps the short workload statistically useful.
+  // (200 us CPU) and repeated passes on fresh scenarios keep the short
+  // workload statistically useful.
   const bool profiling = command == "profile" || command == "all";
   if (profiling) {
     psf::obs::profile::register_thread("main");
     psf::obs::profile::start({.interval_us = 200});
+    for (int pass = 1; pass < kProfiledPasses; ++pass) {
+      Scenario extra = psf::mail::build_scenario();
+      run_workload(extra);
+    }
   }
 
   run_workload(s);
@@ -205,7 +251,7 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   const std::int64_t tail_n =
-      argument.empty() ? 64 : std::strtoll(argument.c_str(), nullptr, 10);
+      command == "journal" && !argument.empty() ? *parse_count(argument) : 64;
   const std::string trace_hex =
       argument.empty() ? latest_dispatch_trace_hex() : argument;
   if (command == "metrics" || command == "all") {
@@ -223,14 +269,6 @@ int main(int argc, char** argv) {
   if (command == "spans" || command == "all") {
     if (command == "all") std::cout << "==== spans ====\n";
     rc |= query("spans_for_trace", {Value::string(trace_hex)});
-  }
-  if (command == "slo" || command == "all") {
-    if (command == "all") std::cout << "==== slo ====\n";
-    rc |= query("slo_status", {});
-  }
-  if (command == "contention" || command == "all") {
-    if (command == "all") std::cout << "==== contention ====\n";
-    rc |= query("lock_contention", {});
   }
   if (command == "profile" || command == "all") {
     if (command == "all") std::cout << "==== profile ====\n";
