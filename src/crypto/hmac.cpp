@@ -16,26 +16,24 @@ HmacSha256::HmacSha256(const util::Bytes& key) {
     inner_pad[i] = k[i] ^ 0x36;
     outer_pad[i] = k[i] ^ 0x5c;
   }
-  inner_.update(inner_pad, kBlock);
-  outer_seed_.update(outer_pad, kBlock);
+  Sha256 inner, outer;
+  inner.update(inner_pad, kBlock);
+  outer.update(outer_pad, kBlock);
+  inner_ = inner.midstate();
+  outer_ = outer.midstate();
 }
 
-Digest256 HmacSha256::final() {
-  const Digest256 inner_digest = inner_.finish();
-  Sha256 outer = outer_seed_;
+Digest256 HmacSha256::mac(const std::uint8_t* data, std::size_t len) const {
+  Sha256 inner(inner_, 1);
+  inner.update(data, len);
+  const Digest256 inner_digest = inner.finish();
+  Sha256 outer(outer_, 1);
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finish();
 }
 
-void HmacSha256::final_into(std::uint8_t* out) {
-  const Digest256 d = final();
-  std::copy(d.begin(), d.end(), out);
-}
-
 Digest256 hmac_sha256(const util::Bytes& key, const util::Bytes& message) {
-  HmacSha256 mac(key);
-  mac.update(message);
-  return mac.final();
+  return HmacSha256(key).mac(message);
 }
 
 util::Bytes hmac_sha256_bytes(const util::Bytes& key,

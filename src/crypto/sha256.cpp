@@ -277,6 +277,9 @@ Sha256::Sha256() {
   std::memcpy(state_.data(), kInit, sizeof(kInit));
 }
 
+Sha256::Sha256(const Sha256Midstate& midstate, std::uint64_t blocks)
+    : state_(midstate), total_len_(64 * blocks) {}
+
 void Sha256::process_blocks(const std::uint8_t* data, std::size_t blocks) {
 #ifdef PSF_SHA256_X86
   if (has_sha_ni()) {

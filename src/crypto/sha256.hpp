@@ -12,9 +12,20 @@ namespace psf::crypto {
 
 using Digest256 = std::array<std::uint8_t, 32>;
 
+/// The eight-word chaining value between 64-byte blocks.
+using Sha256Midstate = std::array<std::uint32_t, 8>;
+
 class Sha256 {
  public:
   Sha256();
+
+  /// Resume a hash whose first `blocks` whole 64-byte blocks were absorbed
+  /// into `midstate` (HMAC keeps its pad blocks this way, RFC 2104 §4).
+  Sha256(const Sha256Midstate& midstate, std::uint64_t blocks);
+
+  /// The chaining value; meaningful only after whole blocks (the bytes
+  /// absorbed so far are a multiple of 64).
+  const Sha256Midstate& midstate() const { return state_; }
 
   void update(const std::uint8_t* data, std::size_t len);
   void update(const util::Bytes& data) { update(data.data(), data.size()); }
@@ -25,7 +36,7 @@ class Sha256 {
  private:
   void process_blocks(const std::uint8_t* data, std::size_t blocks);
 
-  std::array<std::uint32_t, 8> state_;
+  Sha256Midstate state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;

@@ -1,5 +1,7 @@
 #include "switchboard/channel.hpp"
 
+#include <stdexcept>
+
 #include "crypto/chacha20.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/hmac.hpp"
@@ -91,8 +93,8 @@ struct FrameMetrics {
 
 // `plain` must not alias `frame`: the frame is rebuilt from scratch (only
 // its capacity survives across calls). The plaintext is encrypted where it
-// sits in the frame, then the frame bytes are MACed from a copied keyed
-// midstate, so there are no mac_input, body or ciphertext temporaries.
+// sits in the frame, then the frame bytes are MACed from the keyed
+// midstates, so there are no mac_input, body or ciphertext temporaries.
 void seal_frame(const FrameKeys& keys, int dir, std::uint64_t seq,
                 const std::uint8_t* plain, std::size_t len,
                 util::Bytes& frame) {
@@ -104,10 +106,8 @@ void seal_frame(const FrameKeys& keys, int dir, std::uint64_t seq,
   frame.insert(frame.end(), plain, plain + len);
   crypto::chacha20_xor_inplace(keys.cipher[dir], nonce_for(dir, seq), 1,
                                frame.data() + 8, len);
-  crypto::HmacSha256 mac = keys.mac_seed[dir];
-  mac.update(frame.data(), frame.size());
-  frame.resize(total);
-  mac.final_into(frame.data() + 8 + len);
+  const crypto::Digest256 tag = keys.mac_seed[dir].mac(frame.data(), 8 + len);
+  frame.insert(frame.end(), tag.begin(), tag.end());
 }
 
 // Returns the frame's sequence number with the plaintext in `plain` (which
@@ -120,9 +120,7 @@ util::Result<std::uint64_t> open_frame(const FrameKeys& keys, int dir,
   plain.clear();
   if (len < kFrameOverhead) return Fail::failure("frame", "short frame");
   const std::size_t body_len = len - 32;
-  crypto::HmacSha256 mac = keys.mac_seed[dir];
-  mac.update(frame, body_len);
-  const crypto::Digest256 expected = mac.final();
+  const crypto::Digest256 expected = keys.mac_seed[dir].mac(frame, body_len);
   if (!util::equal_ct(frame + body_len, expected.data(), expected.size())) {
     return Fail::failure("mac", "MAC verification failed");
   }
@@ -169,11 +167,10 @@ util::Result<std::size_t> SessionCrypto::unseal_into(int dir,
                                                      util::Bytes& plain) {
   auto opened = open_frame(keys_, dir, frame, len, plain);
   if (!opened.ok()) return opened.error();
-  std::unique_ptr<ReplayWindow>& window = recv_window_[dir];
-  if (!window) window = std::make_unique<ReplayWindow>();
-  if (!window->check_and_insert(opened.value())) {
+  if (opened.value() != recv_seq_[dir] + 1) {
     return replay_rejected(opened.value(), dir, plain);
   }
+  recv_seq_[dir] = opened.value();
   return plain.size();
 }
 
@@ -379,25 +376,31 @@ void Connection::install_monitor(End end) {
 }
 
 SessionKeyMaterial Connection::derive_session_keys(
-    std::uint64_t session_id, const char* label) const {
+    std::uint64_t session_id) const {
   SessionKeyMaterial keys;
   static constexpr const char* kDirection[2] = {"a2b", "b2a"};
   for (int dir = 0; dir < 2; ++dir) {
     util::Bytes info;
-    util::append(info, label);
-    util::append(info, "-cipher-");
+    util::append(info, "data-cipher-");
     util::append(info, kDirection[dir]);
     util::put_u64_be(info, session_id);
     const auto cipher = crypto::hmac_sha256(resumption_secret_, info);
     std::copy(cipher.begin(), cipher.end(), keys.cipher[dir].begin());
     info.clear();
-    util::append(info, label);
-    util::append(info, "-mac-");
+    util::append(info, "data-mac-");
     util::append(info, kDirection[dir]);
     util::put_u64_be(info, session_id);
     keys.mac_key[dir] = crypto::hmac_sha256_bytes(resumption_secret_, info);
   }
   return keys;
+}
+
+SessionKeyMaterial Connection::derive_session_keys(
+    std::uint64_t session_id, std::string_view label) const {
+  if (label != "data") {
+    throw std::invalid_argument("session keys derive under \"data\" only");
+  }
+  return derive_session_keys(session_id);
 }
 
 void Connection::seal_into(End sender, const std::uint8_t* plaintext,

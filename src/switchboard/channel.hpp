@@ -5,7 +5,8 @@
 //  - Key exchange: ephemeral Diffie-Hellman on the Ed25519 group; transcript
 //    signed by each side's PKI identity.
 //  - Cipher: per-direction ChaCha20 keys; frames are MACed (HMAC-SHA-256)
-//    and carry sequence numbers checked against a sliding replay window.
+//    and carry sequence numbers: the trunk checks them against a sliding
+//    replay window, a derived session accepts only the next one in order.
 //    One frame codec (below) serves the trunk and every derived session.
 //  - Authorization: each side's Authorizer evaluates the partner's dRBAC
 //    credentials into a proof; AuthorizationMonitors (dRBAC ProofMonitors)
@@ -26,6 +27,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 
 #include "crypto/chacha20.hpp"
 #include "crypto/hmac.hpp"
@@ -50,9 +52,10 @@ namespace psf::switchboard {
 //
 // The nonce is the direction byte plus the little-endian seq. Opening checks
 // the length, then the MAC (constant time), then decrypts; the owner's
-// replay window runs last. A rejection carries exactly one code: `frame`
+// sequence check runs last. A rejection carries exactly one code: `frame`
 // (shorter than kFrameOverhead), `mac` (tag mismatch: tampered, truncated,
-// extended, or wrong key or direction) or `replay` (replayed or stale).
+// extended, or wrong key or direction) or `replay` (replayed, stale or, on
+// a session, out of order).
 
 /// Bytes a sealed frame adds to its plaintext: seq(8) + hmac(32).
 inline constexpr std::size_t kFrameOverhead = 8 + 32;
@@ -66,7 +69,7 @@ struct SessionKeyMaterial {
 
 /// The codec's keyed form of SessionKeyMaterial: HMAC midstates with each
 /// MAC key's ipad/opad blocks absorbed once, so a frame streams only its own
-/// bytes.
+/// bytes. 192 bytes: two ChaCha20 keys and two 64-byte HMAC seeds.
 struct FrameKeys {
   FrameKeys() = default;
   explicit FrameKeys(const SessionKeyMaterial& material);
@@ -75,10 +78,15 @@ struct FrameKeys {
 };
 
 /// Per-session framing state for the event transport (reactor.hpp): the
-/// codec keyed by derived session material, a plain send counter and an
-/// unlocked replay window per direction. Owned by exactly one EventChannel
-/// and only touched from its loop thread, so unlike the trunk it needs no
-/// locks.
+/// codec keyed by derived session material plus a send and a receive
+/// counter per direction. Owned by exactly one EventChannel and only
+/// touched from its loop thread, so unlike the trunk it needs no locks.
+///
+/// A session runs over a reliable in-order conduit (a memory pipe or a
+/// socketpair), so its frames arrive in the order they were sealed: only
+/// seq == last + 1 opens (the TLS 1.3 rule for a stream, RFC 8446 §5.3),
+/// and a skipped, repeated or reordered frame is a `replay` error. No
+/// window is kept.
 class SessionCrypto {
  public:
   SessionCrypto() = default;
@@ -89,18 +97,16 @@ class SessionCrypto {
   void seal_into(int dir, const std::uint8_t* plain, std::size_t len,
                  util::Bytes& frame);
 
-  /// Open a frame received in direction `dir`: the plaintext length, with
-  /// the plaintext in `plain`, or a frame/mac/replay error (`plain` empty).
+  /// Open the next frame received in direction `dir`: the plaintext length,
+  /// with the plaintext in `plain`, or a frame/mac/replay error (`plain`
+  /// empty, and the expected sequence number unchanged).
   util::Result<std::size_t> unseal_into(int dir, const std::uint8_t* frame,
                                         std::size_t len, util::Bytes& plain);
 
  private:
   FrameKeys keys_;
   std::uint64_t send_seq_[2] = {0, 0};
-  // Created when its direction first opens a frame that passes the MAC: an
-  // EventChannel opens frames in one direction only, so the other window
-  // never exists.
-  std::unique_ptr<ReplayWindow> recv_window_[2];
+  std::uint64_t recv_seq_[2] = {0, 0};  // last frame opened
 };
 
 class Connection;
@@ -213,20 +219,22 @@ class Connection : public std::enable_shared_from_this<Connection> {
   //
   // The readiness-driven transport multiplexes many lightweight sessions
   // over one fully-handshaked trunk Connection (the same idea as TLS session
-  // resumption / QUIC connection IDs): each session gets its own per-
-  // direction ChaCha20 keys, HMAC keys, sequence space, and replay window,
-  // all derived deterministically from a resumption secret that only the two
-  // ends of this connection share. A 100k-client ramp therefore costs one
-  // DH + signature handshake per trunk, not per client, while each session
+  // resumption / QUIC connection IDs): each session gets one set of per-
+  // direction ChaCha20 and HMAC keys and its own sequence space, derived
+  // deterministically from a resumption secret that only the two ends of
+  // this connection share. A 100k-client ramp therefore costs one DH +
+  // signature handshake per trunk, not per client, while each session
   // still has cryptographically independent framing.
 
   /// Derive the session keys for `session_id` (any value; ids must be unique
   /// per trunk). Pure function of the connection's resumption secret: both
-  /// ends compute identical material without a round trip. The reactor's
-  /// control frames use a distinct label so they never collide with data
-  /// sessions.
+  /// ends compute identical material without a round trip. Every message of
+  /// a session (HELLO, WELCOME, DATA, BYE) is sealed with this one set.
+  SessionKeyMaterial derive_session_keys(std::uint64_t session_id) const;
+  /// The same keys, for callers that still name the derivation label.
+  /// "data" is the only label; any other throws std::invalid_argument.
   SessionKeyMaterial derive_session_keys(std::uint64_t session_id,
-                                         const char* label = "data") const;
+                                         std::string_view label) const;
 
   // --- raw frame sealing with replay protection ---
   //

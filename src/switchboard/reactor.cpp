@@ -21,13 +21,11 @@ namespace psf::switchboard {
 
 namespace {
 
-// Wire message types (u8 after the length prefix).
+// Wire message types: the last byte of a message's sealed plaintext.
 constexpr std::uint8_t kHello = 0;
 constexpr std::uint8_t kWelcome = 1;
 constexpr std::uint8_t kData = 2;
 constexpr std::uint8_t kBye = 3;
-constexpr std::uint8_t kPing = 4;
-constexpr std::uint8_t kPong = 5;
 
 // A frame larger than this is corruption, not load: the mail workloads top
 // out in the tens of kilobytes.
@@ -57,6 +55,10 @@ struct ReactorMetrics {
   obs::Counter& session_frames =
       obs::counter("psf.switchboard.session.frames");
   obs::Counter& session_bytes = obs::counter("psf.switchboard.session.bytes");
+  // Messages that failed to authenticate and were dropped (see
+  // handle_message).
+  obs::Counter& session_dropped =
+      obs::counter("psf.switchboard.session.dropped");
   obs::Histogram& batch_frames =
       obs::histogram("psf.switchboard.loop.batch_frames");
 };
@@ -330,33 +332,25 @@ void EventChannel::register_with_loop() {
 }
 
 void EventChannel::derive_session_keys() {
-  control_ = SessionCrypto(trunk_->derive_session_keys(session_id_, "ctl"));
-  session_ = SessionCrypto(trunk_->derive_session_keys(session_id_, "data"));
+  session_ = SessionCrypto(trunk_->derive_session_keys(session_id_));
 }
 
 void EventChannel::send_hello() {
-  util::Bytes plain = util::to_bytes(mailbox_);
-  send_control(kHello, plain);
+  send_message(kHello, util::to_bytes(mailbox_));
   flush();
 }
 
-void EventChannel::send_control(std::uint8_t type, const util::Bytes& plain) {
-  thread_local util::Bytes frame;
-  control_.seal_into(dir_send(), plain.data(), plain.size(), frame);
-  append_message(type, frame.data(), frame.size());
-}
-
-void EventChannel::send_data_frame(const util::Bytes& plain) {
-  thread_local util::Bytes frame;
-  session_.seal_into(dir_send(), plain.data(), plain.size(), frame);
-  append_message(kData, frame.data(), frame.size());
-}
-
-void EventChannel::append_message(std::uint8_t type, const std::uint8_t* frame,
-                                  std::size_t len) {
-  // u32_be length | u8 type | [u64_be session_id] | sealed frame
+void EventChannel::send_message(std::uint8_t type, const util::Bytes& payload) {
+  // The type is sealed with the payload (payload | type, as TLS 1.3 seals
+  // its inner content type), so nobody without the keys can relabel it.
+  thread_local util::Bytes inner, frame;
+  inner.assign(payload.begin(), payload.end());
+  inner.push_back(type);
+  session_.seal_into(dir_send(), inner.data(), inner.size(), frame);
+  // u32_be length | [u64_be session_id] | sealed frame. Only the first
+  // message each way (HELLO, WELCOME) names the session in clear.
   const bool with_session = type == kHello || type == kWelcome;
-  const std::size_t body = 1 + (with_session ? 8 : 0) + len;
+  const std::size_t body = (with_session ? 8 : 0) + frame.size();
   // The buffer starts empty after every flush: size it once per message
   // rather than growing it field by field.
   const std::size_t needed = write_buf_.size() + 4 + body;
@@ -364,9 +358,8 @@ void EventChannel::append_message(std::uint8_t type, const std::uint8_t* frame,
     write_buf_.reserve(std::max(needed, 2 * write_buf_.capacity()));
   }
   util::put_u32_be(write_buf_, static_cast<std::uint32_t>(body));
-  write_buf_.push_back(type);
   if (with_session) util::put_u64_be(write_buf_, session_id_);
-  write_buf_.insert(write_buf_.end(), frame, frame + len);
+  write_buf_.insert(write_buf_.end(), frame.begin(), frame.end());
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   ReactorMetrics::get().session_frames.inc();
 }
@@ -462,7 +455,7 @@ std::size_t EventChannel::dispatch_frames(Scratch& scratch,
     pos += 4 + body_len;
     ++handled;
     frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (!handle_message(scratch, body[0], body + 1, body_len - 1) ||
+    if (!handle_message(scratch, body, body_len) ||
         state_.load() == State::kClosed) {
       return pos;
     }
@@ -502,78 +495,81 @@ void EventChannel::note_buffers() {
                            std::memory_order_relaxed);
 }
 
-bool EventChannel::handle_message(Scratch& scratch, std::uint8_t type,
-                                  const std::uint8_t* body, std::size_t len) {
+bool EventChannel::handle_message(Scratch& scratch, const std::uint8_t* body,
+                                  std::size_t len) {
+  // A message that does not authenticate under the session's keys was not
+  // sealed by the peer (injected, or a genuine frame altered in transit).
+  // It is dropped without acting on it, so forged bytes can neither steer
+  // nor end the session. A genuine frame lost that way leaves a gap, and
+  // the peer's next frame then fails the in-order check.
+  auto drop = [] {
+    ReactorMetrics::get().session_dropped.inc();
+    return true;
+  };
+  const bool first = state_.load() == State::kHandshaking;
+  if (first) {
+    // The first message each way (HELLO to a server, WELCOME to a client)
+    // opens with the session id in clear; a server derives its keys from it.
+    if (len < 8) return drop();
+    std::uint64_t sid = 0;
+    for (int i = 0; i < 8; ++i) sid = (sid << 8) | body[i];
+    body += 8;
+    len -= 8;
+    if (role_ == Role::kServer) {
+      session_id_ = sid;
+      derive_session_keys();
+    } else if (sid != session_id_) {
+      return drop();
+    }
+  }
   util::Bytes& plain = scratch.plain();
+  auto unsealed = session_.unseal_into(dir_recv(), body, len, plain);
+  if (!unsealed.ok()) {
+    if (unsealed.error().code != "replay") return drop();
+    close_on_loop("frame replay");
+    return false;
+  }
+  if (plain.empty()) {
+    close_on_loop("unknown message type");
+    return false;
+  }
+  const std::uint8_t type = plain.back();
+  plain.pop_back();
   switch (type) {
     case kHello: {
-      if (role_ != Role::kServer || state_.load() != State::kHandshaking) {
+      if (role_ != Role::kServer || !first) {
         close_on_loop("unexpected HELLO");
         return false;
       }
-      if (len < 8) {
-        close_on_loop("short HELLO");
-        return false;
-      }
-      std::uint64_t sid = 0;
-      for (int i = 0; i < 8; ++i) sid = (sid << 8) | body[i];
-      session_id_ = sid;
-      derive_session_keys();
-      auto unsealed = control_.unseal_into(dir_recv(), body + 8, len - 8, plain);
-      if (!unsealed.ok()) {
-        close_on_loop("HELLO " + unsealed.error().message);
-        return false;
-      }
       mailbox_.assign(plain.begin(), plain.end());
-      send_control(kWelcome, plain);  // echo the mailbox back, sealed
+      send_message(kWelcome, plain);  // echo the mailbox back, sealed
       state_.store(State::kEstablished);
       return true;
     }
     case kWelcome: {
-      if (role_ != Role::kClient || state_.load() != State::kHandshaking) {
+      if (role_ != Role::kClient || !first) {
         close_on_loop("unexpected WELCOME");
-        return false;
-      }
-      if (len < 8) {
-        close_on_loop("short WELCOME");
-        return false;
-      }
-      std::uint64_t sid = 0;
-      for (int i = 0; i < 8; ++i) sid = (sid << 8) | body[i];
-      if (sid != session_id_) {
-        close_on_loop("WELCOME session mismatch");
-        return false;
-      }
-      auto unsealed = control_.unseal_into(dir_recv(), body + 8, len - 8, plain);
-      if (!unsealed.ok()) {
-        close_on_loop("WELCOME " + unsealed.error().message);
         return false;
       }
       state_.store(State::kEstablished);
       for (auto& [request, callback] : queued_submits_) {
         pending_.push(std::move(callback));
-        send_data_frame(request);
+        send_message(kData, request);
       }
       queued_submits_ = {};
       if (established_callback_) established_callback_();
       return true;
     }
     case kData: {
-      if (state_.load() != State::kEstablished &&
-          state_.load() != State::kDraining) {
+      if (first) {
         close_on_loop("DATA before establishment");
-        return false;
-      }
-      auto unsealed = session_.unseal_into(dir_recv(), body, len, plain);
-      if (!unsealed.ok()) {
-        close_on_loop("frame " + unsealed.error().message);
         return false;
       }
       if (role_ == Role::kServer) {
         util::Bytes& response = scratch.response();
         response.clear();
         handler_(plain, response);
-        send_data_frame(response);
+        send_message(kData, response);
       } else {
         if (pending_.empty()) {
           close_on_loop("unsolicited response");
@@ -581,23 +577,6 @@ bool EventChannel::handle_message(Scratch& scratch, std::uint8_t type,
         }
         ResponseCallback callback = pending_.pop();
         callback(util::Result<util::Bytes>(util::Bytes(plain)));
-      }
-      return true;
-    }
-    case kPing: {
-      auto unsealed = control_.unseal_into(dir_recv(), body, len, plain);
-      if (!unsealed.ok()) {
-        close_on_loop("PING " + unsealed.error().message);
-        return false;
-      }
-      send_control(kPong, plain);
-      return true;
-    }
-    case kPong: {
-      auto unsealed = control_.unseal_into(dir_recv(), body, len, plain);
-      if (!unsealed.ok()) {
-        close_on_loop("PONG " + unsealed.error().message);
-        return false;
       }
       return true;
     }
@@ -621,7 +600,7 @@ void EventChannel::submit(util::Bytes request_plain,
         break;
       case State::kEstablished:
         self->pending_.push(std::move(cb));
-        self->send_data_frame(request);
+        self->send_message(kData, request);
         self->flush();
         break;
       case State::kDraining:
@@ -643,8 +622,7 @@ void EventChannel::begin_drain() {
       return;
     }
     self->state_.store(State::kDraining);
-    util::Bytes reason = util::to_bytes("bye");
-    self->send_control(kBye, reason);
+    self->send_message(kBye, util::to_bytes("bye"));
     self->flush();
     self->maybe_finish_drain();
   });

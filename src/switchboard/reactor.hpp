@@ -11,11 +11,18 @@
 //
 // Sessions are multiplexed over a fully-handshaked trunk `Connection`
 // (Connection::derive_session_keys): the DH + signature + authorization
-// handshake is paid once per trunk, while every session keeps its own
-// per-direction ChaCha20/HMAC keys, sequence space, and anti-replay window.
+// handshake is paid once per trunk, while every session keeps one set of
+// per-direction ChaCha20/HMAC keys and an in-order sequence per direction.
 // Sessions and the trunk share one frame codec (channel.hpp: seq8 |
 // ciphertext | hmac32); seal and read scratch buffers are per loop thread
 // and reused across every channel on that worker.
+//
+// Wire message: u32_be length | [u64_be session id] | sealed frame, where
+// the sealed plaintext is payload | u8 type (HELLO 0, WELCOME 1, DATA 2,
+// BYE 3). Only the first message each way (HELLO, WELCOME) carries the
+// session id. All four types share the direction's sequence, so no two
+// messages reuse a nonce, and a BYE is honoured only once it authenticates
+// as the peer's next frame.
 //
 // Connection state machine (one EventChannel per end):
 //
@@ -228,14 +235,11 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   std::size_t top_up_partial_frame(const std::uint8_t* data, std::size_t len);
   void note_batch(std::size_t handled);
   void note_buffers();
-  bool handle_message(Scratch& scratch, std::uint8_t type,
-                      const std::uint8_t* body, std::size_t len);
+  bool handle_message(Scratch& scratch, const std::uint8_t* body,
+                      std::size_t len);
   void derive_session_keys();
   void send_hello();
-  void send_control(std::uint8_t type, const util::Bytes& plain);
-  void send_data_frame(const util::Bytes& plain);
-  void append_message(std::uint8_t type, const std::uint8_t* frame,
-                      std::size_t len);
+  void send_message(std::uint8_t type, const util::Bytes& payload);
   void flush();
   void maybe_finish_drain();
   void fail_pending(const std::string& reason);
@@ -251,8 +255,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   std::string mailbox_;
   const std::size_t max_batch_frames_;
 
-  SessionCrypto session_;       // DATA framing
-  SessionCrypto control_;       // HELLO/WELCOME/PING framing
+  SessionCrypto session_;  // seals and opens every message of the session
   std::atomic<State> state_{State::kHandshaking};
 
   // A partial frame, or whole frames the batch bound left for the next

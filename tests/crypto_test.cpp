@@ -85,22 +85,66 @@ TEST(Hmac, LongKeyIsHashedFirst) {
 }
 
 TEST(Hmac, CopiedSeedMacsIndependently) {
-  // The frame codec keys one seed per direction and MACs every frame from a
-  // copy of it: copies must not share running state, and the seed itself
-  // must stay at the keyed midstate.
+  // The frame codec keys one seed per direction and MACs every frame from
+  // it: a copy MACs like the original, and MACing never moves the seed off
+  // its keyed midstates.
   const Bytes key = to_bytes("session mac key");
   const Bytes first = to_bytes("frame one");
   const Bytes second(300, 0x5a);  // spans several SHA-256 blocks
   const HmacSha256 seed(key);
-  HmacSha256 a = seed;
-  HmacSha256 b = seed;
-  a.update(first);
-  b.update(second);
-  EXPECT_EQ(hex_of(a.final()), hex_of(hmac_sha256(key, first)));
-  EXPECT_EQ(hex_of(b.final()), hex_of(hmac_sha256(key, second)));
-  HmacSha256 again = seed;
-  again.update(first);
-  EXPECT_EQ(hex_of(again.final()), hex_of(hmac_sha256(key, first)));
+  const HmacSha256 a = seed;
+  const HmacSha256 b = seed;
+  EXPECT_EQ(hex_of(a.mac(first)), hex_of(hmac_sha256(key, first)));
+  EXPECT_EQ(hex_of(b.mac(second)), hex_of(hmac_sha256(key, second)));
+  EXPECT_EQ(hex_of(seed.mac(first)), hex_of(a.mac(first)));
+  EXPECT_EQ(hex_of(a.mac(first)), hex_of(hmac_sha256(key, first)));
+  EXPECT_EQ(sizeof(HmacSha256), 64u) << "two 32-byte midstates";
+}
+
+/// HMAC as RFC 2104 §2 writes it, over whole SHA-256 hashes:
+/// H((K0 ^ opad) | H((K0 ^ ipad) | m)). No midstates are involved.
+Digest256 textbook_hmac(const Bytes& key, const Bytes& message) {
+  Bytes k0 = key.size() > 64 ? sha256_bytes(key) : key;
+  k0.resize(64, 0);
+  Bytes inner(64), outer(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    inner[i] = k0[i] ^ 0x36;
+    outer[i] = k0[i] ^ 0x5c;
+  }
+  inner.insert(inner.end(), message.begin(), message.end());
+  const Digest256 inner_digest = sha256(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return sha256(outer);
+}
+
+TEST(Hmac, CompactSeedMatchesTextbookHmac) {
+  util::Rng rng(2104);
+  for (const std::size_t key_len : {0, 32, 64, 65, 200}) {
+    const Bytes key = rng.next_bytes(key_len);
+    const HmacSha256 seed(key);
+    for (std::size_t msg_len = 0; msg_len <= 200; ++msg_len) {
+      const Bytes message = rng.next_bytes(msg_len);
+      const std::string want = hex_of(textbook_hmac(key, message));
+      ASSERT_EQ(hex_of(seed.mac(message)), want)
+          << "key " << key_len << " B, message " << msg_len << " B";
+      ASSERT_EQ(hex_of(hmac_sha256(key, message)), want);
+    }
+  }
+}
+
+TEST(Sha256, ResumesFromAMidstate) {
+  // Absorb whole blocks, keep only the chaining value, and resume: the
+  // digest matches hashing everything in one object.
+  util::Rng rng(180);
+  const Bytes data = rng.next_bytes(64 * 3 + 17);
+  for (std::uint64_t blocks = 1; blocks <= 3; ++blocks) {
+    Sha256 prefix;
+    prefix.update(data.data(), 64 * blocks);
+    Sha256 resumed(prefix.midstate(), blocks);
+    resumed.update(data.data() + 64 * blocks, data.size() - 64 * blocks);
+    EXPECT_EQ(hex_of(resumed.finish()), hex_of(sha256(data)))
+        << blocks << " blocks";
+  }
 }
 
 // --------------------------------------------------------------- ChaCha20

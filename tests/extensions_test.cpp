@@ -502,8 +502,8 @@ TEST(Fuzz, ConnectionUnsealOnRandomFramesNeverCrashes) {
 
   // Mutated valid frames, on the trunk and on a derived session. No variant
   // opens or takes a replay slot, so each original still opens exactly once.
-  switchboard::SessionCrypto sender(conn->derive_session_keys(5, "data"));
-  switchboard::SessionCrypto receiver(conn->derive_session_keys(5, "data"));
+  switchboard::SessionCrypto sender(conn->derive_session_keys(5));
+  switchboard::SessionCrypto receiver(conn->derive_session_keys(5));
   auto session_open = [&](int dir, const util::Bytes& frame) {
     plain = util::to_bytes("stale");
     return receiver.unseal_into(dir, frame.data(), frame.size(), plain);

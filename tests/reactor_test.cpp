@@ -1,10 +1,13 @@
-// Reactor / EventChannel / sharded-mail tests: session key derivation,
-// golden sealed-frame vectors for the trunk and derived sessions, the
-// connection state machine over memory and socket conduits, draining
-// teardown, the read path (split frames, batch continuations, re-entrant
-// dispatch, drained buffers, a hostile wire-stream fuzz), cross-worker shard
-// routing, wheel-scheduled heartbeats, and a value-level check that
-// Connection::call and an EventChannel agree on mail results.
+// Reactor / EventChannel / sharded-mail tests: session key derivation and
+// the in-order sequence rule, golden sealed-frame and wire-message vectors
+// for the trunk and derived sessions, the connection state machine over
+// memory and socket conduits, draining teardown, the read path (split
+// frames, batch continuations, re-entrant dispatch, drained buffers, a
+// hostile wire-stream fuzz), the wire protocol (forged and relabelled
+// messages, skipped and replayed frames, an exhaustive mutant fuzz of both
+// directions), cross-worker shard routing, wheel-scheduled heartbeats, and
+// a value-level check that Connection::call and an EventChannel agree on
+// mail results.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +15,7 @@
 #include <fstream>
 #include <future>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "drbac/credential.hpp"
@@ -19,6 +23,7 @@
 #include "mail/sharded.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/value_codec.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "switchboard/authorizer.hpp"
 #include "switchboard/channel.hpp"
@@ -131,20 +136,25 @@ Value call_via(const std::shared_ptr<EventChannel>& channel,
 
 // ------------------------------------------------------- session derivation
 
-TEST(SessionKeys, DeterministicAndLabelSeparated) {
+TEST(SessionKeys, DeterministicAndSessionSeparated) {
   TrunkWorld w;
   auto conn = w.connect();
-  const auto a = conn->derive_session_keys(42, "data");
-  const auto b = conn->derive_session_keys(42, "data");
+  const auto a = conn->derive_session_keys(42);
+  const auto b = conn->derive_session_keys(42);
   EXPECT_EQ(a.cipher[0], b.cipher[0]);
   EXPECT_EQ(a.mac_key[1], b.mac_key[1]);
-  // Different sessions, directions, and labels all get distinct keys.
-  const auto other = conn->derive_session_keys(43, "data");
+  // Different sessions and directions get distinct keys.
+  const auto other = conn->derive_session_keys(43);
   EXPECT_NE(a.cipher[0], other.cipher[0]);
+  EXPECT_NE(a.mac_key[0], other.mac_key[0]);
   EXPECT_NE(a.cipher[0], a.cipher[1]);
-  const auto ctl = conn->derive_session_keys(42, "ctl");
-  EXPECT_NE(a.cipher[0], ctl.cipher[0]);
-  EXPECT_NE(a.mac_key[0], ctl.mac_key[0]);
+  EXPECT_NE(a.mac_key[0], a.mac_key[1]);
+  // "data" is the one derivation label: naming it changes nothing, and
+  // there is no other.
+  const auto named = conn->derive_session_keys(42, "data");
+  EXPECT_EQ(named.cipher[0], a.cipher[0]);
+  EXPECT_EQ(named.mac_key[1], a.mac_key[1]);
+  EXPECT_THROW(conn->derive_session_keys(42, "ctl"), std::invalid_argument);
 }
 
 TEST(SessionKeys, BothTrunkEndsDeriveIdenticalMaterial) {
@@ -154,8 +164,8 @@ TEST(SessionKeys, BothTrunkEndsDeriveIdenticalMaterial) {
   TrunkWorld w1(7), w2(7);
   auto c1 = w1.connect();
   auto c2 = w2.connect();
-  const auto k1 = c1->derive_session_keys(5, "data");
-  const auto k2 = c2->derive_session_keys(5, "data");
+  const auto k1 = c1->derive_session_keys(5);
+  const auto k2 = c2->derive_session_keys(5);
   EXPECT_EQ(k1.cipher[0], k2.cipher[0]);
   EXPECT_EQ(k1.cipher[1], k2.cipher[1]);
   EXPECT_EQ(k1.mac_key[0], k2.mac_key[0]);
@@ -165,8 +175,8 @@ TEST(SessionKeys, BothTrunkEndsDeriveIdenticalMaterial) {
 TEST(SessionCrypto, SealUnsealRoundTripAndReplayRejection) {
   TrunkWorld w;
   auto conn = w.connect();
-  SessionCrypto sender(conn->derive_session_keys(9, "data"));
-  SessionCrypto receiver(conn->derive_session_keys(9, "data"));
+  SessionCrypto sender(conn->derive_session_keys(9));
+  SessionCrypto receiver(conn->derive_session_keys(9));
 
   const util::Bytes plain = util::to_bytes("hello sharded world");
   util::Bytes frame, out;
@@ -176,12 +186,12 @@ TEST(SessionCrypto, SealUnsealRoundTripAndReplayRejection) {
   ASSERT_TRUE(r.ok()) << r.error().message;
   EXPECT_EQ(out, plain);
 
-  // Replay of the same frame is rejected by the per-session window.
+  // Replay of the same frame fails the in-order check.
   auto replay = receiver.unseal_into(0, frame.data(), frame.size(), out);
   ASSERT_FALSE(replay.ok());
   EXPECT_EQ(replay.error().code, "replay");
 
-  // Tampering breaks the MAC before the window is consulted.
+  // Tampering breaks the MAC before the sequence is consulted.
   sender.seal_into(0, plain.data(), plain.size(), frame);
   frame[10] ^= 1;
   auto bad = receiver.unseal_into(0, frame.data(), frame.size(), out);
@@ -194,14 +204,14 @@ TEST(SessionCrypto, SealUnsealRoundTripAndReplayRejection) {
   EXPECT_FALSE(wrong_dir.ok());
 }
 
-TEST(SessionCrypto, DirectionsKeepIndependentReplayWindows) {
+TEST(SessionCrypto, DirectionsKeepIndependentSequences) {
   TrunkWorld w;
   auto conn = w.connect();
-  SessionCrypto sender(conn->derive_session_keys(11, "data"));
-  SessionCrypto receiver(conn->derive_session_keys(11, "data"));
+  SessionCrypto sender(conn->derive_session_keys(11));
+  SessionCrypto receiver(conn->derive_session_keys(11));
   const util::Bytes plain = util::to_bytes("both ways");
   // Each direction numbers its frames from 1, so both first frames carry
-  // seq 1; each opens once, in its own direction's window.
+  // seq 1; each opens once, in its own direction's sequence.
   util::Bytes a2b, b2a, out;
   sender.seal_into(0, plain.data(), plain.size(), a2b);
   sender.seal_into(1, plain.data(), plain.size(), b2a);
@@ -214,19 +224,22 @@ TEST(SessionCrypto, DirectionsKeepIndependentReplayWindows) {
     EXPECT_TRUE(out.empty());
   }
 
-  // Slide direction 0 a full window ahead: its seq 2 turns stale, while
-  // direction 1's seq 2 is still fresh.
-  util::Bytes stale, frame;
-  sender.seal_into(0, plain.data(), plain.size(), stale);
-  for (std::uint64_t i = 0; i < ReplayWindow::kSize; ++i) {
-    sender.seal_into(0, plain.data(), plain.size(), frame);
-  }
-  ASSERT_TRUE(receiver.unseal_into(0, frame.data(), frame.size(), out).ok());
-  auto late = receiver.unseal_into(0, stale.data(), stale.size(), out);
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.error().code, "replay");
+  // Only seq == last + 1 opens. Direction 0 skips ahead: seq 3 is refused
+  // and leaves the expected seq at 2, so seq 2 and then seq 3 still open.
+  // Direction 1 is untouched and opens its seq 2.
+  util::Bytes second, third, frame;
+  sender.seal_into(0, plain.data(), plain.size(), second);
+  sender.seal_into(0, plain.data(), plain.size(), third);
+  auto ahead = receiver.unseal_into(0, third.data(), third.size(), out);
+  ASSERT_FALSE(ahead.ok());
+  EXPECT_EQ(ahead.error().code, "replay");
   sender.seal_into(1, plain.data(), plain.size(), frame);
   EXPECT_TRUE(receiver.unseal_into(1, frame.data(), frame.size(), out).ok());
+  EXPECT_TRUE(receiver.unseal_into(0, second.data(), second.size(), out).ok());
+  EXPECT_TRUE(receiver.unseal_into(0, third.data(), third.size(), out).ok());
+  auto stale = receiver.unseal_into(0, second.data(), second.size(), out);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.error().code, "replay");
 }
 
 // ------------------------------------------------------------ state machine
@@ -450,36 +463,40 @@ std::vector<util::Bytes> burst(EventLoop& loop,
   return answers->got;
 }
 
-// The wire protocol's message types, as the client end writes them.
+// The wire protocol's message types: the last byte of the sealed plaintext.
 constexpr std::uint8_t kWireHello = 0;
+constexpr std::uint8_t kWireWelcome = 1;
 constexpr std::uint8_t kWireData = 2;
+constexpr std::uint8_t kWireBye = 3;
 
-/// One wire message: u32_be length | u8 type | [u64_be session id] | sealed.
-util::Bytes wire_message(std::uint8_t type, const util::Bytes& sealed,
-                         const std::uint64_t* session_id = nullptr) {
+/// One wire message sealed as the next frame of `dir` (0 = the client's
+/// direction, 1 = the server's): u32_be length | [u64_be session id] |
+/// seal(payload | type).
+util::Bytes wire_message(SessionCrypto& keys, std::uint8_t type,
+                         const util::Bytes& payload,
+                         const std::uint64_t* session_id = nullptr,
+                         int dir = 0) {
+  util::Bytes plain = payload;
+  plain.push_back(type);
+  util::Bytes sealed;
+  keys.seal_into(dir, plain.data(), plain.size(), sealed);
   util::Bytes message;
   util::put_u32_be(message, static_cast<std::uint32_t>(
-                                1 + (session_id ? 8 : 0) + sealed.size()));
-  message.push_back(type);
+                                (session_id ? 8 : 0) + sealed.size()));
   if (session_id) util::put_u64_be(message, *session_id);
   message.insert(message.end(), sealed.begin(), sealed.end());
   return message;
 }
 
-/// The HELLO a client opening `session_id` sends (control keys, A->B).
-util::Bytes hello_message(SessionCrypto& control, std::uint64_t session_id,
+/// The HELLO a client opening `session_id` sends (A->B).
+util::Bytes hello_message(SessionCrypto& keys, std::uint64_t session_id,
                           const std::string& mailbox) {
-  const util::Bytes plain = util::to_bytes(mailbox);
-  util::Bytes sealed;
-  control.seal_into(0, plain.data(), plain.size(), sealed);
-  return wire_message(kWireHello, sealed, &session_id);
+  return wire_message(keys, kWireHello, util::to_bytes(mailbox), &session_id);
 }
 
-/// A client DATA message carrying `payload` (data keys, A->B).
-util::Bytes data_message(SessionCrypto& data, const util::Bytes& payload) {
-  util::Bytes sealed;
-  data.seal_into(0, payload.data(), payload.size(), sealed);
-  return wire_message(kWireData, sealed);
+/// A client DATA message carrying `payload` (A->B).
+util::Bytes data_message(SessionCrypto& keys, const util::Bytes& payload) {
+  return wire_message(keys, kWireData, payload);
 }
 
 TEST(EventChannel, FramesSplitAtEveryByteBoundary) {
@@ -549,8 +566,7 @@ TEST(EventChannel, ReentrantOpenFromCallbackKeepsFraming) {
   std::shared_ptr<EventChannel> nested_server;
   std::vector<util::Bytes> nested_seen;
   std::promise<void> nested_opened;
-  SessionCrypto nested_control(trunk->derive_session_keys(99, "ctl"));
-  SessionCrypto nested_data(trunk->derive_session_keys(99, "data"));
+  SessionCrypto nested_keys(trunk->derive_session_keys(99));
   const auto nested_requests = numbered_requests(4, 1024);
   bool first = true;
   auto pair = make_memory_conduit_pair();
@@ -561,9 +577,9 @@ TEST(EventChannel, ReentrantOpenFromCallbackKeepsFraming) {
         if (!first) return;
         first = false;
         auto nested = make_memory_conduit_pair();
-        util::Bytes wire = hello_message(nested_control, 99, "nested");
+        util::Bytes wire = hello_message(nested_keys, 99, "nested");
         for (const auto& payload : nested_requests) {
-          const util::Bytes message = data_message(nested_data, payload);
+          const util::Bytes message = data_message(nested_keys, payload);
           wire.insert(wire.end(), message.begin(), message.end());
         }
         nested.a->write_some(wire.data(), wire.size());
@@ -616,7 +632,9 @@ TEST(EventChannel, HostileWireStreamClosesWithReason) {
   // A seeded mutator corrupts one message of a well-formed client stream,
   // which is then fed to a server channel in random chunks. Whatever the
   // mutation, the channel must close with a reason, and exactly the DATA
-  // frames before the corruption must reach the handler, once each.
+  // frames before the corruption must reach the handler, once each. (A
+  // second copy of the HELLO does not authenticate once the session is
+  // established: it is dropped, and every DATA frame still arrives.)
   TrunkWorld w;
   auto trunk = w.connect();
   EventLoop loop;
@@ -634,18 +652,28 @@ TEST(EventChannel, HostileWireStreamClosesWithReason) {
   util::Rng rng(20261017);
   for (int round = 0; round < 300; ++round) {
     const std::uint64_t session = 1000 + static_cast<std::uint64_t>(round);
-    SessionCrypto control(trunk->derive_session_keys(session, "ctl"));
-    SessionCrypto data(trunk->derive_session_keys(session, "data"));
-    std::vector<util::Bytes> messages{hello_message(control, session, "fuzz")};
     const int frames = 1 + static_cast<int>(rng.next_below(10));
+    const auto mutation = static_cast<Mutation>(rng.next_below(kMutations));
+    const std::size_t victim = rng.next_below(1 + frames);
+    // The victim of kUnknownType is sealed, in its place in the sequence,
+    // with a type the protocol does not define.
+    const std::uint8_t unknown_type =
+        static_cast<std::uint8_t>(4 + rng.next_below(252));
+    SessionCrypto keys(trunk->derive_session_keys(session));
+    std::vector<util::Bytes> messages;
+    messages.push_back(
+        mutation == kUnknownType && victim == 0
+            ? wire_message(keys, unknown_type, util::to_bytes("fuzz"), &session)
+            : hello_message(keys, session, "fuzz"));
     for (int i = 0; i < frames; ++i) {
       util::Bytes payload = rng.next_bytes(rng.next_below(200));
       payload.insert(payload.begin(), static_cast<std::uint8_t>(i));
-      messages.push_back(data_message(data, payload));
+      const bool relabel =
+          mutation == kUnknownType && victim == messages.size();
+      messages.push_back(relabel ? wire_message(keys, unknown_type, payload)
+                                 : data_message(keys, payload));
     }
 
-    const auto mutation = static_cast<Mutation>(rng.next_below(kMutations));
-    const std::size_t victim = rng.next_below(messages.size());
     util::Bytes stream;
     for (std::size_t m = 0; m < messages.size(); ++m) {
       util::Bytes message = messages[m];
@@ -669,13 +697,11 @@ TEST(EventChannel, HostileWireStreamClosesWithReason) {
             std::copy(prefix.begin(), prefix.end(), message.begin());
             break;
           }
-          case kUnknownType:
-            message[4] = static_cast<std::uint8_t>(6 + rng.next_below(250));
-            break;
           case kDuplicate:
             stream.insert(stream.end(), message.begin(), message.end());
             break;
           case kNone:
+          case kUnknownType:
           case kMutations:
             break;
         }
@@ -684,8 +710,10 @@ TEST(EventChannel, HostileWireStreamClosesWithReason) {
       if (m == victim && mutation == kTruncate) break;
     }
     // DATA frames (messages 1..) wholly before the corruption; a duplicate
-    // corrupts only its second copy.
-    const std::size_t intact = mutation == kNone        ? messages.size() - 1
+    // corrupts only its second copy, and a second HELLO is dropped.
+    const bool harmless =
+        mutation == kNone || (mutation == kDuplicate && victim == 0);
+    const std::size_t intact = harmless                 ? messages.size() - 1
                                : mutation == kDuplicate ? victim
                                : victim == 0            ? 0
                                                         : victim - 1;
@@ -729,6 +757,368 @@ TEST(EventChannel, HostileWireStreamClosesWithReason) {
   loop.stop();
 }
 
+// ------------------------------------------------------------ wire protocol
+
+/// Returns once every task posted to `loop` before the call has run.
+void settle(EventLoop& loop) {
+  std::promise<void> done;
+  loop.post([&done] { done.set_value(); });
+  done.get_future().wait();
+}
+
+/// What a channel made of a scripted stream from its peer: the DATA
+/// payloads it acted on, in order, and why it closed ("" if still open).
+struct Outcome {
+  std::vector<util::Bytes> applied;
+  std::string close_reason;
+};
+
+util::Bytes concat(const std::vector<util::Bytes>& messages) {
+  util::Bytes stream;
+  for (const auto& m : messages) {
+    stream.insert(stream.end(), m.begin(), m.end());
+  }
+  return stream;
+}
+
+/// Feeds `stream`, then EOF, to a fresh server channel. Its handler records
+/// each request it runs.
+Outcome feed_server(EventLoop& loop, const std::shared_ptr<Connection>& trunk,
+                    const util::Bytes& stream) {
+  auto pair = make_memory_conduit_pair();
+  pair.a->write_some(stream.data(), stream.size());
+  pair.a->close();
+  auto applied = std::make_shared<std::vector<util::Bytes>>();
+  auto server = EventChannel::serve(
+      loop, std::move(pair.b), trunk,
+      [applied](const util::Bytes& request, util::Bytes& response) {
+        applied->push_back(request);
+        response = request;
+      });
+  settle(loop);
+  return {*applied, server->close_reason()};
+}
+
+/// Opens a client channel for `session_id` with `requests` submits queued,
+/// then feeds it `stream` and EOF as the server's side. The answers that
+/// reach a callback are the applied payloads.
+Outcome feed_client(EventLoop& loop, const std::shared_ptr<Connection>& trunk,
+                    std::uint64_t session_id, int requests,
+                    const util::Bytes& stream) {
+  auto pair = make_memory_conduit_pair();
+  auto client =
+      EventChannel::open(loop, std::move(pair.a), trunk, session_id, "fuzz");
+  auto applied = std::make_shared<std::vector<util::Bytes>>();
+  for (int i = 0; i < requests; ++i) {
+    client->submit(util::to_bytes("request"),
+                   [applied](util::Result<util::Bytes> r) {
+                     if (r.ok()) applied->push_back(r.value());
+                   });
+  }
+  settle(loop);  // registered, HELLO written, submits queued
+  pair.b->write_some(stream.data(), stream.size());
+  pair.b->close();
+  settle(loop);
+  return {*applied, client->close_reason()};
+}
+
+/// One direction's messages, sealed in order under session `session_id`'s
+/// keys; the first names the session in clear.
+std::vector<util::Bytes> seal_script(
+    const Connection& trunk, std::uint64_t session_id, int dir,
+    const std::vector<std::pair<std::uint8_t, util::Bytes>>& script) {
+  SessionCrypto keys(trunk.derive_session_keys(session_id));
+  std::vector<util::Bytes> messages;
+  for (const auto& [type, payload] : script) {
+    messages.push_back(wire_message(keys, type, payload,
+                                    messages.empty() ? &session_id : nullptr,
+                                    dir));
+  }
+  return messages;
+}
+
+/// Flips bits of a wire message's sealed type byte: the last plaintext byte
+/// sits just before the 32-byte MAC.
+util::Bytes flip_sealed_type(util::Bytes message, std::uint8_t mask) {
+  message[message.size() - 33] ^= mask;
+  return message;
+}
+
+TEST(EventChannel, ForgedByeIsDroppedAndRealByeTearsDown) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  auto pair = make_memory_conduit_pair();
+  Conduit* to_server = pair.a.get();
+  Conduit* to_client = pair.b.get();
+  auto server = EventChannel::serve(loop, std::move(pair.b), trunk, echo);
+  auto client = EventChannel::open(loop, std::move(pair.a), trunk, 21, "gina");
+  ASSERT_TRUE(eventually([&] {
+    return client->state() == EventChannel::State::kEstablished;
+  }));
+  EXPECT_EQ(burst(loop, client, {util::to_bytes("before")}),
+            std::vector<util::Bytes>{util::to_bytes("before")});
+
+  // Forged BYEs injected into both directions: the old layout's five-byte
+  // BYE, and one shaped like a sealed frame. Neither authenticates.
+  obs::Counter& dropped = obs::counter("psf.switchboard.session.dropped");
+  const std::uint64_t dropped_before = dropped.value();
+  util::Bytes forged{0, 0, 0, 1, kWireBye};
+  util::Bytes shaped;
+  util::put_u32_be(shaped, static_cast<std::uint32_t>(kFrameOverhead + 1));
+  util::put_u64_be(shaped, 3);  // the next sequence number either way
+  shaped.push_back(kWireBye);
+  shaped.resize(4 + kFrameOverhead + 1, 0);
+  loop.run_on_loop([&] {
+    for (const util::Bytes* message : {&forged, &shaped}) {
+      to_server->write_some(message->data(), message->size());
+      to_client->write_some(message->data(), message->size());
+    }
+  });
+  settle(loop);  // the injection ran and posted each channel's read
+  settle(loop);  // the reads ran
+  EXPECT_EQ(client->state(), EventChannel::State::kEstablished);
+  EXPECT_EQ(server->state(), EventChannel::State::kEstablished);
+  EXPECT_EQ(dropped.value() - dropped_before, 4u);
+  EXPECT_EQ(burst(loop, client, {util::to_bytes("after")}),
+            std::vector<util::Bytes>{util::to_bytes("after")})
+      << "both ends still answer";
+
+  // A real BYE authenticates as the client's next frame and tears down
+  // both ends.
+  client->begin_drain();
+  ASSERT_TRUE(eventually([&] {
+    return client->state() == EventChannel::State::kClosed &&
+           server->state() == EventChannel::State::kClosed;
+  }));
+  EXPECT_EQ(client->close_reason(), "drained");
+  EXPECT_EQ(server->close_reason(), "peer bye");
+  loop.stop();
+}
+
+TEST(EventChannel, RelabelledFramesNeverReachTheHandler) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  const util::Bytes d1 = util::to_bytes("first request");
+  const util::Bytes d2 = util::to_bytes("second request");
+  const std::uint64_t sid = 31;
+  const auto genuine = seal_script(
+      *trunk, sid, 0,
+      {{kWireHello, util::to_bytes("relabel")}, {kWireData, d1},
+       {kWireData, d2}, {kWireBye, util::to_bytes("bye")}});
+  const util::Bytes &hello = genuine[0], &data1 = genuine[1],
+                    &data2 = genuine[2], &bye = genuine[3];
+
+  // Flipping the sealed type breaks the MAC: the frame is dropped, and the
+  // next genuine frame leaves a gap in the sequence.
+  for (const std::uint8_t to : {kWireBye, kWireHello}) {
+    const Outcome out = feed_server(
+        loop, trunk,
+        concat({hello, flip_sealed_type(data1, kWireData ^ to), data2}));
+    EXPECT_TRUE(out.applied.empty()) << "DATA relabelled as " << int{to};
+    EXPECT_EQ(out.close_reason, "frame replay");
+  }
+  // The reverse: a BYE relabelled as DATA is dropped, so neither the
+  // handler nor the teardown runs; EOF ends the session.
+  Outcome out = feed_server(
+      loop, trunk,
+      concat({hello, data1, flip_sealed_type(bye, kWireBye ^ kWireData)}));
+  EXPECT_EQ(out.applied, std::vector<util::Bytes>{d1});
+  EXPECT_EQ(out.close_reason, "peer eof");
+  // A HELLO relabelled as DATA: nothing authenticates, nothing runs.
+  out = feed_server(
+      loop, trunk,
+      concat({flip_sealed_type(hello, kWireHello ^ kWireData), data1}));
+  EXPECT_TRUE(out.applied.empty());
+  EXPECT_EQ(out.close_reason, "peer eof");
+
+  // A holder of the keys who seals the wrong type for the session's state
+  // gets a typed close; the retired PING (4) and PONG (5) are unknown.
+  const std::vector<std::pair<std::uint8_t, std::string>> relabels{
+      {kWireHello, "unexpected HELLO"},
+      {kWireWelcome, "unexpected WELCOME"},
+      {4, "unknown message type"},
+      {5, "unknown message type"}};
+  for (const auto& [type, reason] : relabels) {
+    const auto messages = seal_script(
+        *trunk, sid, 0, {{kWireHello, util::to_bytes("relabel")}, {type, d1}});
+    out = feed_server(loop, trunk, concat(messages));
+    EXPECT_TRUE(out.applied.empty()) << int{type};
+    EXPECT_EQ(out.close_reason, reason);
+  }
+  const auto data_first =
+      seal_script(*trunk, sid, 0, {{kWireData, d1}, {kWireData, d2}});
+  out = feed_server(loop, trunk, concat(data_first));
+  EXPECT_TRUE(out.applied.empty());
+  EXPECT_EQ(out.close_reason, "DATA before establishment");
+  loop.stop();
+}
+
+TEST(EventChannel, SkippedAndReplayedFramesCloseWithReplay) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  const util::Bytes d1 = util::to_bytes("one"), d2 = util::to_bytes("two"),
+                    d3 = util::to_bytes("three");
+  const auto messages = seal_script(
+      *trunk, 41, 0,
+      {{kWireHello, util::to_bytes("seq")}, {kWireData, d1}, {kWireData, d2},
+       {kWireData, d3}});
+  obs::Counter& rejections = obs::counter("psf.switchboard.replay.rejections");
+  const std::uint64_t before = rejections.value();
+
+  Outcome out = feed_server(loop, trunk,
+                            concat({messages[0], messages[1], messages[3]}));
+  EXPECT_EQ(out.applied, std::vector<util::Bytes>{d1}) << "skip-ahead";
+  EXPECT_EQ(out.close_reason, "frame replay");
+
+  out = feed_server(loop, trunk,
+                    concat({messages[0], messages[1], messages[2],
+                            messages[1]}));
+  EXPECT_EQ(out.applied, (std::vector<util::Bytes>{d1, d2})) << "replayed";
+  EXPECT_EQ(out.close_reason, "frame replay");
+
+  out = feed_server(loop, trunk,
+                    concat({messages[0], messages[2], messages[1]}));
+  EXPECT_TRUE(out.applied.empty()) << "reordered";
+  EXPECT_EQ(out.close_reason, "frame replay");
+  EXPECT_EQ(rejections.value() - before, 3u);
+  loop.stop();
+}
+
+// One direction of a session as a list of (type, payload) messages, and the
+// typed reasons a channel may close with.
+using Script = std::vector<std::pair<std::uint8_t, util::Bytes>>;
+
+const std::set<std::string>& typed_close_reasons() {
+  static const std::set<std::string> reasons{
+      "peer eof",           "peer eof mid-frame",
+      "peer bye",           "frame replay",
+      "corrupt length prefix", "unexpected HELLO",
+      "unexpected WELCOME", "DATA before establishment",
+      "unknown message type", "unsolicited response"};
+  return reasons;
+}
+
+/// The DATA payloads among script[0, end).
+std::vector<util::Bytes> data_before(const Script& script, std::size_t end) {
+  std::vector<util::Bytes> data;
+  for (std::size_t i = 0; i < end; ++i) {
+    if (script[i].first == kWireData) data.push_back(script[i].second);
+  }
+  return data;
+}
+
+/// Runs every mutant of one direction's genuine `script` through `feed`
+/// and checks that each is applied, or not, as the protocol says, and that
+/// the channel always ends with one typed reason.
+void fuzz_direction(const Connection& trunk, std::uint64_t session_id,
+                    int dir, const Script& script,
+                    const std::function<Outcome(const util::Bytes&)>& feed) {
+  const auto genuine = seal_script(trunk, session_id, dir, script);
+  const std::vector<util::Bytes> all_data = data_before(script, script.size());
+  int mutants = 0;
+  auto check = [&](const util::Bytes& stream,
+                   const std::vector<util::Bytes>& applied,
+                   const std::string& what) {
+    const Outcome out = feed(stream);
+    ++mutants;
+    EXPECT_EQ(typed_close_reasons().count(out.close_reason), 1u)
+        << what << ": closed with \"" << out.close_reason << "\"";
+    EXPECT_EQ(out.applied, applied) << what << " (" << out.close_reason << ")";
+  };
+
+  check(concat(genuine), all_data, "unmutated");
+  for (std::size_t m = 0; m < genuine.size(); ++m) {
+    const std::vector<util::Bytes> before = data_before(script, m);
+    const std::string name = "message " + std::to_string(m);
+    const auto at_m = genuine.begin() + static_cast<std::ptrdiff_t>(m);
+    // Every truncation: the stream ends inside message m.
+    for (std::size_t len = 0; len < genuine[m].size(); ++len) {
+      std::vector<util::Bytes> messages(genuine.begin(), at_m);
+      messages.emplace_back(
+          genuine[m].begin(),
+          genuine[m].begin() + static_cast<std::ptrdiff_t>(len));
+      check(concat(messages), before,
+            name + " cut at " + std::to_string(len));
+    }
+    // One flipped bit at every byte, the rest of the stream intact.
+    for (std::size_t at = 0; at < genuine[m].size(); ++at) {
+      auto messages = genuine;
+      messages[m][at] ^= static_cast<std::uint8_t>(1u << (at % 8));
+      check(concat(messages), before, name + " flipped at " +
+                                          std::to_string(at));
+    }
+    // Resealed with every other type, in the same place in the sequence:
+    // only DATA after the first message is applied.
+    for (const std::uint8_t type :
+         {kWireHello, kWireWelcome, kWireData, kWireBye, std::uint8_t{4},
+          std::uint8_t{5}, std::uint8_t{255}}) {
+      if (type == script[m].first) continue;
+      Script relabelled = script;
+      relabelled[m].first = type;
+      std::vector<util::Bytes> applied = before;
+      if (type == kWireData && m > 0) {
+        applied = data_before(relabelled, relabelled.size());
+      }
+      check(concat(seal_script(trunk, session_id, dir, relabelled)), applied,
+            name + " relabelled " + std::to_string(type));
+    }
+    // Duplicated: a second first message no longer authenticates and is
+    // dropped; a second DATA is a replay; nothing is read after a BYE.
+    {
+      auto messages = genuine;
+      messages.insert(messages.begin() + (at_m - genuine.begin()), *at_m);
+      const bool dropped = m == 0 || script[m].first == kWireBye;
+      check(concat(messages), dropped ? all_data : data_before(script, m + 1),
+            name + " duplicated");
+    }
+    // Swapped with its successor: the later frame arrives first.
+    if (m + 1 < genuine.size()) {
+      auto messages = genuine;
+      std::swap(messages[m], messages[m + 1]);
+      check(concat(messages), before, name + " swapped with the next");
+    }
+  }
+  EXPECT_GT(mutants, 100);
+}
+
+TEST(SessionWireFuzz, ClientStreamMutantsApplyOrCloseWithOneReason) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  const Script script{{kWireHello, util::to_bytes("fuzz")},
+                      {kWireData, util::to_bytes("first")},
+                      {kWireData, util::Bytes(70, 0x5a)},
+                      {kWireBye, util::to_bytes("bye")}};
+  fuzz_direction(*trunk, 51, 0, script, [&](const util::Bytes& stream) {
+    return feed_server(loop, trunk, stream);
+  });
+  loop.stop();
+}
+
+TEST(SessionWireFuzz, ServerStreamMutantsApplyOrCloseWithOneReason) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  const Script script{{kWireWelcome, util::to_bytes("fuzz")},
+                      {kWireData, util::to_bytes("answer one")},
+                      {kWireData, util::Bytes(70, 0xa5)},
+                      {kWireBye, util::to_bytes("bye")}};
+  // One request more than the script answers, so a BYE resealed as DATA
+  // has a caller to answer.
+  fuzz_direction(*trunk, 52, 1, script, [&](const util::Bytes& stream) {
+    return feed_client(loop, trunk, 52, 3, stream);
+  });
+  loop.stop();
+}
+
 // ------------------------------------------------------------ golden frames
 
 // Sealed frames pinned byte for byte in tests/fixtures/frames/golden.txt
@@ -761,22 +1151,20 @@ GoldenFrames trunk_golden_frames(Connection& conn) {
   return frames;
 }
 
-/// Derived-session frames: session 17 under the "data" and "ctl" labels,
-/// both directions, from the same trunk.
+/// Derived-session frames: session 17, both directions, from the same
+/// trunk.
 GoldenFrames session_golden_frames(const Connection& conn) {
   GoldenFrames frames;
-  for (const char* label : {"data", "ctl"}) {
-    SessionCrypto sender(conn.derive_session_keys(17, label));
-    for (int dir = 0; dir < 2; ++dir) {
-      for (int n = 1; n <= 3; ++n) {
-        const util::Bytes plain = golden_payload(n);
-        util::Bytes frame;
-        sender.seal_into(dir, plain.data(), plain.size(), frame);
-        frames.emplace_back(std::string("session17.") + label +
-                                (dir == 0 ? ".a2b." : ".b2a.") +
-                                std::to_string(n),
-                            std::move(frame));
-      }
+  SessionCrypto sender(conn.derive_session_keys(17));
+  for (int dir = 0; dir < 2; ++dir) {
+    for (int n = 1; n <= 3; ++n) {
+      const util::Bytes plain = golden_payload(n);
+      util::Bytes frame;
+      sender.seal_into(dir, plain.data(), plain.size(), frame);
+      frames.emplace_back(std::string("session17.data") +
+                              (dir == 0 ? ".a2b." : ".b2a.") +
+                              std::to_string(n),
+                          std::move(frame));
     }
   }
   return frames;
@@ -795,7 +1183,9 @@ void expect_golden(const GoldenFrames& frames) {
   ASSERT_FALSE(golden.empty()) << "missing tests/fixtures/frames/golden.txt";
   for (const auto& [name, frame] : frames) {
     auto it = golden.find(name);
-    ASSERT_NE(it, golden.end()) << "no golden vector " << name;
+    ASSERT_NE(it, golden.end())
+        << "no golden vector " << name << " (sealed: " << util::to_hex(frame)
+        << ")";
     EXPECT_EQ(util::to_hex(frame), it->second) << name;
   }
 }
@@ -820,10 +1210,9 @@ TEST(GoldenFrames, DerivedSessionSealIsPinned) {
   const GoldenFrames frames = session_golden_frames(*conn);
   expect_golden(frames);
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    // Frames run data.a2b, data.b2a, ctl.a2b, ctl.b2a; three of each.
-    SessionCrypto receiver(
-        conn->derive_session_keys(17, i < 6 ? "data" : "ctl"));
-    const int dir = static_cast<int>(i / 3) % 2;
+    // Frames run a2b then b2a, three of each.
+    SessionCrypto receiver(conn->derive_session_keys(17));
+    const int dir = static_cast<int>(i / 3);
     util::Bytes plain;
     for (std::size_t j = i - i % 3; j <= i; ++j) {
       const util::Bytes& frame = frames[j].second;
@@ -833,6 +1222,58 @@ TEST(GoldenFrames, DerivedSessionSealIsPinned) {
     }
     EXPECT_EQ(plain, golden_payload(static_cast<int>(i % 3) + 1));
   }
+}
+
+TEST(GoldenFrames, SessionWireMessagesArePinned) {
+  // The bytes a client channel writes for session 17: HELLO with mailbox
+  // "golden", then one DATA message per golden payload. Each is
+  // length | [session id] | seal(payload | type) under the session's one
+  // key set, numbered 1..4 in the client's direction.
+  TrunkWorld w(99);
+  auto trunk = w.connect();
+  const std::uint64_t sid = 17;
+  SessionCrypto keys(trunk->derive_session_keys(sid));
+  GoldenFrames expected{
+      {"session17.wire.hello", hello_message(keys, sid, "golden")}};
+  for (int n = 1; n <= 3; ++n) {
+    expected.emplace_back("session17.wire.data." + std::to_string(n),
+                          data_message(keys, golden_payload(n)));
+  }
+  expect_golden(expected);
+  const util::Bytes& hello = expected[0].second;
+  EXPECT_EQ(util::to_hex(util::Bytes(hello.begin() + 4, hello.begin() + 20)),
+            "0000000000000011"
+            "0000000000000001")
+      << "the session id, then seq 1, in clear";
+  EXPECT_EQ(hello.size(), 4 + 8 + kFrameOverhead + 6 + 1);
+
+  // A real client channel writes exactly these bytes.
+  EventLoop loop;
+  loop.start();
+  auto pair = make_memory_conduit_pair();
+  auto client = EventChannel::open(loop, std::move(pair.a), trunk, sid,
+                                   "golden");
+  for (int n = 1; n <= 3; ++n) {
+    client->submit(golden_payload(n), [](util::Result<util::Bytes>) {});
+  }
+  SessionCrypto server_keys(trunk->derive_session_keys(sid));
+  const util::Bytes welcome = wire_message(
+      server_keys, kWireWelcome, util::to_bytes("golden"), &sid, /*dir=*/1);
+  pair.b->write_some(welcome.data(), welcome.size());
+  util::Bytes want;
+  for (const auto& [name, message] : expected) {
+    want.insert(want.end(), message.begin(), message.end());
+  }
+  util::Bytes wire;
+  EXPECT_TRUE(eventually([&] {
+    std::uint8_t chunk[512];
+    for (std::size_t n; (n = pair.b->read_some(chunk, sizeof chunk)) > 0;) {
+      wire.insert(wire.end(), chunk, chunk + n);
+    }
+    return wire.size() >= want.size();
+  }));
+  EXPECT_EQ(util::to_hex(wire), util::to_hex(want));
+  loop.stop();
 }
 
 // ------------------------------------------------------------ differential
