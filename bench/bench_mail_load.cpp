@@ -15,7 +15,9 @@
 //    collector, and asserts the soft/hard split shows zero hard drops;
 //  - measures the §4f observability-overhead gate AT LOAD: alternating
 //    min-of-N passes with the full load plane (journal + per-request events
-//    + exemplars) on vs off, and exits nonzero if the overhead exceeds 5%.
+//    + exemplars) on vs off. That overhead, and the event core's and the
+//    profiler's below, are gated in one place: bench/baselines.json holds
+//    each at 5% with no tolerance (scripts/check_bench_regression.py).
 //
 // Writes BENCH_mail_load.json (psf-bench-v1).
 #include <algorithm>
@@ -518,11 +520,6 @@ void reproduce_event_core(
   std::cout << "  [event core] loaded RPC: obs on " << on_us << " us, off "
             << off_us << " us (" << overhead_pct
             << "% overhead, budget 5%)\n";
-  if (overhead_pct > 5.0) {
-    std::cout << "  GATE FAILED: event-core observability overhead "
-              << overhead_pct << "% > 5%\n";
-    ++g_gate_failures;
-  }
 
   // Gate (ISSUE 9): the profiler's top span-attributed folded stack names a
   // real operation — CPU is attributed to logical span paths like
@@ -604,11 +601,6 @@ void reproduce_event_core(
   std::cout << "  [event core] loaded RPC: profiler on " << prof_on_us
             << " us, off " << prof_off_us << " us (" << profiler_pct
             << "% overhead, budget 5%)\n";
-  if (profiler_pct > 5.0) {
-    std::cout << "  GATE FAILED: profiler overhead " << profiler_pct
-              << "% > 5%\n";
-    ++g_gate_failures;
-  }
 
   // Gate: zero hard journal drops across the whole event section.
   const std::uint64_t hard_drops =
@@ -841,11 +833,6 @@ void reproduce() {
             << " us (" << overhead_pct << "% overhead, budget 5%)\n"
             << "  loaded RPC, per-request journaling: " << chatty_us
             << " us (" << chatty_pct << "% over off; diagnostic, not gated)\n";
-  if (overhead_pct > 5.0) {
-    std::cout << "  GATE FAILED: observability overhead at load "
-              << overhead_pct << "% > 5%\n";
-    ++g_gate_failures;
-  }
   if (hard_drops != 0) {
     std::cout << "  GATE FAILED: " << hard_drops
               << " journal events hard-dropped despite the adaptive ring\n";

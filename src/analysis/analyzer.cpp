@@ -4,7 +4,11 @@
 #include <sstream>
 #include <tuple>
 
+#include "util/bytes.hpp"
+
 namespace psf::analysis {
+
+using util::json_escape;
 
 void PassRegistry::add(std::unique_ptr<Pass> pass) {
   passes_.push_back(std::move(pass));

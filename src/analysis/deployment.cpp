@@ -7,8 +7,11 @@
 #include <tuple>
 
 #include "drbac/repository.hpp"
+#include "util/bytes.hpp"
 
 namespace psf::analysis {
+
+using util::json_escape;
 
 namespace {
 

@@ -2,7 +2,11 @@
 
 #include <sstream>
 
+#include "util/bytes.hpp"
+
 namespace psf::analysis {
+
+using util::json_escape;
 
 std::string severity_name(Severity severity) {
   switch (severity) {
@@ -22,30 +26,6 @@ std::string Span::display() const {
 std::string Diagnostic::display() const {
   std::string out = span.display() + ": [" + code + "] " + message;
   if (!hint.empty()) out += " (fix: " + hint + ")";
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* digits = "0123456789abcdef";
-          out += "\\u00";
-          out += digits[(c >> 4) & 0xF];
-          out += digits[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
   return out;
 }
 

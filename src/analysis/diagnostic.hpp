@@ -62,7 +62,4 @@ class DiagnosticSink {
   std::size_t warnings_ = 0;
 };
 
-/// JSON string escaping shared by Diagnostic::json and the CLI.
-std::string json_escape(const std::string& text);
-
 }  // namespace psf::analysis

@@ -6,6 +6,10 @@
 #include <map>
 #include <sstream>
 
+#include "obs/health.hpp"
+#include "obs/profile.hpp"
+#include "util/bytes.hpp"
+
 namespace psf::obs {
 
 namespace {
@@ -24,24 +28,8 @@ std::string hex_id(std::uint64_t id) {
   return os.str();
 }
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+std::string quoted(const std::string& s) {
+  return '"' + util::json_escape(s) + '"';
 }
 
 }  // namespace
@@ -121,18 +109,24 @@ std::string to_prometheus_text(const MetricsSnapshot& snapshot) {
   return os.str();
 }
 
-std::string to_json(const MetricsSnapshot& snapshot) {
+std::string status_json() {
+  const HealthReport health = HealthRegistry::instance().report();
+  const MetricsSnapshot metrics = Registry::instance().snapshot();
+  const profile::Report profiled = profile::report();
   std::ostringstream os;
-  os << "{\n  \"context\": {\n"
-     << "    \"library\": \"psf-views\",\n"
-     << "    \"exporter\": \"psf::obs\",\n"
-     << "    \"schema\": \"metrics-snapshot-v1\",\n"
-     << "    \"metric_count\": " << snapshot.entries.size() << "\n"
-     << "  },\n  \"metrics\": [\n";
-  for (std::size_t i = 0; i < snapshot.entries.size(); ++i) {
-    const auto& e = snapshot.entries[i];
-    os << "    {\"name\": ";
-    json_escape(os, e.name);
+  os << "{\n  \"schema\": \"status-v1\",\n  \"health\": {\"status\": \""
+     << health_level_name(health.overall) << "\", \"checks\": [\n";
+  for (std::size_t i = 0; i < health.entries.size(); ++i) {
+    const HealthReport::Entry& entry = health.entries[i];
+    os << "    {\"name\": " << quoted(entry.name) << ", \"status\": \""
+       << health_level_name(entry.result.level)
+       << "\", \"reason\": " << quoted(entry.result.reason) << "}"
+       << (i + 1 < health.entries.size() ? ",\n" : "\n");
+  }
+  os << "  ]},\n  \"metrics\": [\n";
+  for (std::size_t i = 0; i < metrics.entries.size(); ++i) {
+    const auto& e = metrics.entries[i];
+    os << "    {\"name\": " << quoted(e.name);
     switch (e.kind) {
       case MetricsSnapshot::Entry::Kind::kCounter:
         os << ", \"type\": \"counter\", \"value\": " << e.value << "}";
@@ -148,20 +142,33 @@ std::string to_json(const MetricsSnapshot& snapshot) {
            << ", \"p95\": " << h.percentile(95)
            << ", \"p99\": " << h.percentile(99) << ", \"buckets\": [";
         for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-          if (b != 0) os << ", ";
           os << "{\"le\": " << h.bounds[b] << ", \"count\": "
-             << h.bucket_counts[b] << "}";
+             << h.bucket_counts[b] << "}, ";
         }
-        if (!h.bounds.empty()) os << ", ";
-        os << "{\"le\": \"+Inf\", \"count\": "
-           << h.bucket_counts.back() << "}]}";
+        os << "{\"le\": \"+Inf\", \"count\": " << h.bucket_counts.back()
+           << "}], \"tail_exemplar\": ";
+        const Histogram::Exemplar tail = h.tail_exemplar();
+        if (tail.valid) {
+          os << "{\"trace_id\": \"" << hex_id(tail.trace_id)
+             << "\", \"value\": " << tail.value << "}}";
+        } else {
+          os << "null}";
+        }
         break;
       }
     }
-    if (i + 1 < snapshot.entries.size()) os << ",";
-    os << "\n";
+    os << (i + 1 < metrics.entries.size() ? ",\n" : "\n");
   }
-  os << "  ]\n}\n";
+  os << "  ],\n  \"profile\": {\"running\": "
+     << (profiled.running ? "true" : "false")
+     << ", \"interval_us\": " << profiled.interval_us << ", \"threads\": [";
+  for (std::size_t i = 0; i < profiled.threads.size(); ++i) {
+    const profile::ThreadStatus& t = profiled.threads[i];
+    os << (i == 0 ? "" : ", ") << "{\"name\": " << quoted(t.name)
+       << ", \"samples\": " << t.samples << ", \"truncated\": " << t.truncated
+       << ", \"dropped\": " << t.dropped << "}";
+  }
+  os << "]}\n}\n";
   return os.str();
 }
 
@@ -176,11 +183,10 @@ std::string spans_to_json(const std::vector<SpanRecord>& spans) {
     const SpanRecord& s = spans[i];
     os << "    {\"trace_id\": \"" << hex_id(s.trace_id) << "\", \"span_id\": \""
        << hex_id(s.span_id) << "\", \"parent_id\": \"" << hex_id(s.parent_id)
-       << "\", \"name\": ";
-    json_escape(os, s.name);
-    os << ", \"start_ns\": " << s.start_ns
-       << ", \"duration_ns\": " << s.duration_ns << ", \"error\": "
-       << (s.error ? "true" : "false") << "}";
+       << "\", \"name\": " << quoted(s.name)
+       << ", \"start_ns\": " << s.start_ns
+       << ", \"duration_ns\": " << s.duration_ns
+       << ", \"error\": " << (s.error ? "true" : "false") << "}";
     if (i + 1 < spans.size()) os << ",";
     os << "\n";
   }
@@ -242,11 +248,9 @@ std::string journal_to_json(const std::vector<journal::Event>& events) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const journal::Event& e = events[i];
     os << "    {\"t_ns\": " << e.t_ns << ", \"thread\": " << e.thread
-       << ", \"subsystem\": ";
-    json_escape(os, journal::subsystem_name(e.subsystem));
-    os << ", \"event\": ";
-    json_escape(os, journal::event_name(e.subsystem, e.code));
-    os << ", \"args\": [";
+       << ", \"subsystem\": " << quoted(journal::subsystem_name(e.subsystem))
+       << ", \"event\": "
+       << quoted(journal::event_name(e.subsystem, e.code)) << ", \"args\": [";
     for (int a = 0; a < 4; ++a) {
       if (a != 0) os << ", ";
       os << "\"" << hex_id(e.args[a]) << "\"";
@@ -263,7 +267,5 @@ std::string journal_to_json(const std::vector<journal::Event>& events) {
 std::string dump_prometheus() {
   return to_prometheus_text(Registry::instance().snapshot());
 }
-
-std::string dump_json() { return to_json(Registry::instance().snapshot()); }
 
 }  // namespace psf::obs

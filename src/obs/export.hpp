@@ -3,10 +3,8 @@
 //  - to_prometheus_text: the text exposition format (dots in metric names
 //    become underscores; histograms emit cumulative _bucket/_sum/_count
 //    series plus convenience p50/p95/p99 gauges).
-//  - to_json: a snapshot document in the BENCH_*.json convention used by the
-//    bench binaries — a "context" header object followed by a flat array of
-//    measurements — so the bench tooling can consume metrics snapshots and
-//    benchmark output interchangeably.
+//  - status_json: the one status-v1 document — health rows, every metric
+//    with each histogram's tail exemplar, and the profiler's counters.
 //  - spans_to_json / format_trace: the span ring buffer as JSON, and a
 //    human-readable tree of one trace for terminal output.
 #pragma once
@@ -28,8 +26,18 @@ std::string prometheus_escape_label(const std::string& value);
 
 std::string to_prometheus_text(const MetricsSnapshot& snapshot);
 
-/// `{"context": {...}, "metrics": [{"name": ..., "type": ...}, ...]}`
-std::string to_json(const MetricsSnapshot& snapshot);
+/// The node's `status-v1` document, read from the process-wide health
+/// registry, metrics registry and profiler:
+/// `{"schema": "status-v1",
+///   "health": {"status": "ok|degraded|failing",
+///              "checks": [{"name", "status", "reason"}, ...]},
+///   "metrics": [{"name", "type", ...}, ...],
+///   "profile": {"running", "interval_us",
+///               "threads": [{"name", "samples", "truncated", "dropped"}]}}`
+/// Histogram entries carry count/sum/min/max/p50/p95/p99, their buckets and
+/// `"tail_exemplar": {"trace_id": "<hex>", "value": v}` (null when none was
+/// captured), so a slow tail resolves to its trace via spans_for_trace.
+std::string status_json();
 
 /// `{"context": {...}, "spans": [{"trace_id": "...", ...}, ...]}`
 /// IDs are rendered as fixed-width hex strings (JSON numbers cannot carry
@@ -45,8 +53,7 @@ std::string format_trace(const std::vector<SpanRecord>& spans,
 /// Args and IDs are fixed-width hex strings, same convention as spans_to_json.
 std::string journal_to_json(const std::vector<journal::Event>& events);
 
-/// Convenience snapshot-and-export of the process-wide registry/collector.
+/// Convenience snapshot-and-export of the process-wide registry.
 std::string dump_prometheus();
-std::string dump_json();
 
 }  // namespace psf::obs

@@ -228,56 +228,4 @@ void install_builtin_checks() {
   (void)installed;
 }
 
-namespace {
-
-void append_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
-std::string health_to_json(const HealthReport& report) {
-  std::ostringstream os;
-  os << "{\"status\": \"" << health_level_name(report.overall)
-     << "\", \"checks\": [";
-  bool first = true;
-  for (const HealthReport::Entry& entry : report.entries) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"";
-    append_json_escaped(os, entry.name);
-    os << "\", \"status\": \"" << health_level_name(entry.result.level)
-       << "\", \"reason\": \"";
-    append_json_escaped(os, entry.result.reason);
-    os << "\"}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string health_to_text(const HealthReport& report) {
-  std::ostringstream os;
-  os << "node status: " << health_level_name(report.overall) << "\n";
-  for (const HealthReport::Entry& entry : report.entries) {
-    os << "  [" << health_level_name(entry.result.level) << "] " << entry.name;
-    if (!entry.result.reason.empty()) os << " — " << entry.result.reason;
-    os << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace psf::obs

@@ -118,10 +118,4 @@ class HealthRegistry {
 ///                        (psf.loop.task_sojourn_us) <= 1ms
 void install_builtin_checks();
 
-/// JSON document: {"status": "ok|degraded|failing", "checks": [...]}.
-std::string health_to_json(const HealthReport& report);
-
-/// Human-readable multi-line rendering (obsd_query, examples).
-std::string health_to_text(const HealthReport& report);
-
 }  // namespace psf::obs

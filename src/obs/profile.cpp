@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -21,6 +20,7 @@
 
 #include "obs/seqlock.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 #include "util/lock_rank.hpp"
 
 namespace psf::obs::profile {
@@ -40,43 +40,6 @@ const char* loop_phase_name(LoopPhase phase) {
   }
   return "unknown";
 }
-
-namespace {
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 8);
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 namespace {
 
@@ -484,19 +447,6 @@ Report report() {
 
 // ------------------------------------------------------------- formatting
 
-std::string to_folded(const Report& report) {
-  std::ostringstream out;
-  for (const auto& entry : report.entries) {
-    std::string line;
-    for (const auto& frame : entry.frames) {
-      if (!line.empty()) line += ';';
-      line += frame;
-    }
-    out << line << ' ' << entry.count << '\n';
-  }
-  return out.str();
-}
-
 std::string to_speedscope_json(const Report& report) {
   // One shared frame table; each folded entry becomes `count` identical
   // samples of weight 1 — speedscope's "sampled" profile type.
@@ -517,7 +467,7 @@ std::string to_speedscope_json(const Report& report) {
       << "\"shared\":{\"frames\":[";
   for (std::size_t i = 0; i < frame_names.size(); ++i) {
     if (i > 0) out << ',';
-    out << "{\"name\":\"" << json_escape(frame_names[i]) << "\"}";
+    out << "{\"name\":\"" << util::json_escape(frame_names[i]) << "\"}";
   }
   out << "]},\"profiles\":[{\"type\":\"sampled\","
       << "\"name\":\"cpu (logical spans)\",\"unit\":\"none\","
@@ -541,31 +491,6 @@ std::string to_speedscope_json(const Report& report) {
     out << report.entries[i].count;
   }
   out << "]}]}";
-  return out.str();
-}
-
-std::string status_json() {
-  const Report r = report();
-  std::ostringstream out;
-  out << "{\"version\":\"profile-v1\","
-      << "\"compiled\":true,"
-      << "\"running\":" << (r.running ? "true" : "false") << ','
-      << "\"interval_us\":" << r.interval_us << ','
-      << "\"samples\":" << r.samples << ','
-      << "\"truncated\":" << r.truncated << ','
-      << "\"dropped\":" << r.dropped << ','
-      << "\"distinct_stacks\":" << r.entries.size() << ','
-      << "\"threads\":[";
-  for (std::size_t i = 0; i < r.threads.size(); ++i) {
-    const ThreadStatus& t = r.threads[i];
-    if (i > 0) out << ',';
-    out << "{\"name\":\"" << json_escape(t.name) << "\","
-        << "\"samples\":" << t.samples << ','
-        << "\"truncated\":" << t.truncated << ','
-        << "\"dropped\":" << t.dropped << ','
-        << "\"armed\":" << (t.armed ? "true" : "false") << '}';
-  }
-  out << "]}";
   return out.str();
 }
 

@@ -125,16 +125,8 @@ struct Report {
 /// Fold the current ring contents of every registered thread.
 Report report();
 
-/// Brendan-Gregg folded-stack text: one "frame;frame;frame count" line per
-/// entry, highest count first.
-std::string to_folded(const Report& report);
-
 /// speedscope.app file-format JSON ("sampled" profile, unit "none": one
 /// weight unit per sample).
 std::string to_speedscope_json(const Report& report);
-
-/// {"version":"profile-v1",...} status document (the obsd_query
-/// profile_status surface): running state, interval, per-thread counters.
-std::string status_json();
 
 }  // namespace psf::obs::profile

@@ -8,7 +8,6 @@
 #include "obs/export.hpp"
 #include "obs/health.hpp"
 #include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
@@ -59,14 +58,13 @@ std::uint64_t parse_trace_id(const Value& v) {
 void register_introspect_components(ClassRegistry& registry) {
   InterfaceDef basic;
   basic.name = "IntrospectI";
-  basic.methods = {{"metrics_snapshot", {}}, {"health", {}}};
+  basic.methods = {{"status", {}}};
   registry.register_interface(basic);
 
   InterfaceDef deep;
   deep.name = "IntrospectDeepI";
   deep.methods = {{"journal_tail", {"n"}},
                   {"spans_for_trace", {"id"}},
-                  {"profile_status", {}},
                   {"profile_dump", {}}};
   registry.register_interface(deep);
 
@@ -90,14 +88,8 @@ void register_introspect_components(ClassRegistry& registry) {
     cls->methods.push_back(std::move(ctor));
   }
   cls->methods.push_back(native_method(
-      "metrics_snapshot", {}, "IntrospectI",
-      [](minilang::Instance&, std::vector<Value>) {
-        return Value::string(obs::dump_json());
-      }));
-  cls->methods.push_back(native_method(
-      "health", {}, "IntrospectI", [](minilang::Instance&, std::vector<Value>) {
-        return Value::string(
-            obs::health_to_json(obs::HealthRegistry::instance().report()));
+      "status", {}, "IntrospectI", [](minilang::Instance&, std::vector<Value>) {
+        return Value::string(obs::status_json());
       }));
   cls->methods.push_back(native_method(
       "journal_tail", {"n"}, "IntrospectDeepI",
@@ -115,11 +107,6 @@ void register_introspect_components(ClassRegistry& registry) {
             args.empty() ? 0 : parse_trace_id(args[0]);
         return Value::string(obs::spans_to_json(
             obs::SpanCollector::instance().spans_for_trace(id)));
-      }));
-  cls->methods.push_back(native_method(
-      "profile_status", {}, "IntrospectDeepI",
-      [](minilang::Instance&, std::vector<Value>) {
-        return Value::string(obs::profile::status_json());
       }));
   cls->methods.push_back(native_method(
       "profile_dump", {}, "IntrospectDeepI",
@@ -164,18 +151,22 @@ const std::string& introspect_view_basic_xml() {
   return xml;
 }
 
-util::Result<std::string> install_introspection(Psf& psf,
-                                                IntrospectOptions options) {
+// The ACL's roles and the CPU each placement asks for.
+constexpr char kMonitorRole[] = "Monitor";  // full surface
+constexpr char kViewerRole[] = "Viewer";    // status only
+constexpr std::int64_t kIntrospectCpu = 5;
+
+util::Result<std::string> install_introspection(Psf& psf, std::string node) {
   using Fail = util::Result<std::string>;
-  if (options.node.empty()) {
+  if (node.empty()) {
     return Fail::failure("bad-options", "introspection needs a host node");
   }
-  if (psf.origin_instance(options.service_name) != nullptr) {
-    return Fail::failure("already-installed",
-                         options.service_name + " is already defined");
+  if (psf.origin_instance(kIntrospectService) != nullptr) {
+    return Fail::failure("already-installed", std::string(kIntrospectService) +
+                                                  " is already defined");
   }
-  Guard* admin = psf.guard(options.domain);
-  if (admin == nullptr) admin = &psf.create_guard(options.domain);
+  Guard* admin = psf.guard(kIntrospectDomain);
+  if (admin == nullptr) admin = &psf.create_guard(kIntrospectDomain);
 
   psf.register_components(
       [](ClassRegistry& r) { register_introspect_components(r); });
@@ -187,7 +178,7 @@ util::Result<std::string> install_introspection(Psf& psf,
   // domains: each node domain accepts the admin domain's executables.
   std::set<std::string> bridged;
   for (const NodeInfo& info : psf.node_infos()) {
-    if (info.domain == options.domain) continue;
+    if (info.domain == kIntrospectDomain) continue;
     if (!bridged.insert(info.domain).second) continue;
     Guard* node_guard = psf.guard(info.domain);
     if (node_guard == nullptr) continue;  // nodes of guard-less domains can
@@ -199,24 +190,24 @@ util::Result<std::string> install_introspection(Psf& psf,
   }
 
   ServiceConfig config;
-  config.name = options.service_name;
-  config.domain = options.domain;
-  config.origin_node = options.node;
+  config.name = kIntrospectService;
+  config.domain = kIntrospectDomain;
+  config.origin_node = std::move(node);
   config.origin_class = "Introspect";
   // Origin-only: observability state is per-process, so replicating the
   // component elsewhere would answer with the wrong node's state.
   config.replica_view_xml = "";
   config.access_rules = {
-      {options.monitor_role, "ViewIntrospect_Admin"},
-      {options.viewer_role, "ViewIntrospect_Basic"},
+      {kMonitorRole, "ViewIntrospect_Admin"},
+      {kViewerRole, "ViewIntrospect_Basic"},
   };
   config.default_view = "";  // no rule matched -> deny
   config.view_xml_by_name = {
       {"ViewIntrospect_Admin", introspect_view_admin_xml()},
       {"ViewIntrospect_Basic", introspect_view_basic_xml()},
   };
-  config.origin_cpu = options.origin_cpu;
-  config.view_cpu = options.view_cpu;
+  config.origin_cpu = kIntrospectCpu;
+  config.view_cpu = kIntrospectCpu;
 
   auto defined = psf.define_service(std::move(config));
   if (!defined.ok()) return defined;

@@ -40,6 +40,29 @@ Bytes from_hex(std::string_view hex) {
 
 Bytes to_bytes(std::string_view s) { return Bytes(s.begin(), s.end()); }
 
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHexDigits[(c >> 4) & 0xF];
+          out += kHexDigits[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::string to_string(const Bytes& data) {
   return std::string(data.begin(), data.end());
 }

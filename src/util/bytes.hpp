@@ -1,6 +1,6 @@
 // Byte-buffer utilities shared by every module: hex codecs, string
-// conversion, and little/big-endian integer packing used by the wire formats
-// in crypto/, drbac/, and switchboard/.
+// conversion, JSON string escaping, and little/big-endian integer packing
+// used by the wire formats in crypto/, drbac/, and switchboard/.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,12 @@ Bytes to_bytes(std::string_view s);
 
 /// Interpret `data` as a UTF-8/ASCII string.
 std::string to_string(const Bytes& data);
+
+/// The body of a JSON string literal holding `text` (no surrounding
+/// quotes): `"`, `\`, LF, CR and TAB get their short escapes, every other
+/// byte below 0x20 becomes `\u00XX`, and all other bytes (UTF-8 included)
+/// pass through unchanged.
+std::string json_escape(std::string_view text);
 
 /// Append `src` to `dst`.
 void append(Bytes& dst, const Bytes& src);

@@ -10,6 +10,7 @@
 #include "obs/export.hpp"
 #include "obs/health.hpp"
 #include "obs/journal.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -306,17 +307,28 @@ TEST(Health, BuiltinChecksInstallOnceAndReportOnQuietProcess) {
   EXPECT_TRUE(saw_journal);
 }
 
-TEST(Health, JsonAndTextRenderings) {
-  HealthRegistry registry;
-  registry.add("cache", [] { return CheckResult::degraded("cold"); });
-  const HealthReport report = registry.report();
-  const std::string json = health_to_json(report);
-  EXPECT_NE(json.find("\"status\": \"degraded\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"name\": \"cache\""), std::string::npos);
-  EXPECT_NE(json.find("\"reason\": \"cold\""), std::string::npos);
-  const std::string text = health_to_text(report);
-  EXPECT_NE(text.find("degraded"), std::string::npos);
-  EXPECT_NE(text.find("cache"), std::string::npos);
+TEST(Status, DocumentCarriesHealthRowsAndProfilerCounters) {
+  HealthRegistry& registry = HealthRegistry::instance();
+  const HealthRegistry::Token token = registry.add(
+      "test.cache", [] { return CheckResult::degraded("cold\t\"start\""); });
+  profile::register_thread("status-test");
+  ASSERT_TRUE(profile::sample_current_thread());
+  const std::string json = status_json();
+  registry.remove(token);
+  profile::unregister_thread();
+
+  EXPECT_EQ(json.rfind("{\n  \"schema\": \"status-v1\",", 0), 0u) << json;
+  // The worst row (at least this one's DEGRADED) is the node status.
+  EXPECT_EQ(json.find("\"health\": {\"status\": \"ok\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\": \"test.cache\", \"status\": \"degraded\", "
+                      "\"reason\": \"cold\\t\\\"start\\\"\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"name\": \"status-test\", \"samples\": 1, "
+                      "\"truncated\": 0, \"dropped\": 0}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"profile\": {\"running\": false"), std::string::npos);
 }
 
 }  // namespace

@@ -137,17 +137,6 @@ TEST(Export, PrometheusTextShape) {
   EXPECT_NE(text.find("test_export_lat_us_p95"), std::string::npos);
 }
 
-TEST(Export, JsonSnapshotShape) {
-  Registry registry;
-  registry.counter("test.export.json").inc();
-  const std::string json = to_json(registry.snapshot());
-  EXPECT_NE(json.find("\"context\""), std::string::npos);
-  EXPECT_NE(json.find("metrics-snapshot-v1"), std::string::npos);
-  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.export.json\""), std::string::npos);
-  EXPECT_NE(json.find("\"counter\""), std::string::npos);
-}
-
 // -------------------------------------------------------------- exemplars
 
 TEST(Metrics, ExemplarCapturedAboveThresholdLinksActiveTrace) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "obs/journal.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -77,7 +78,7 @@ TEST(ProfileConcurrency, WraparoundTortureWithConcurrentDrains) {
       while (writers_done.load() < kWriters) {
         const profile::Report report = profile::report();
         expect_sane(report);
-        profile::to_folded(report);  // exercise the formatter too
+        profile::to_speedscope_json(report);  // exercise the formatter too
         drains.fetch_add(1);
       }
     });
@@ -116,7 +117,7 @@ TEST(ProfileConcurrency, StartStopReconfigureRaceUnderLoad) {
   std::thread reporter([&stop_burning] {
     while (!stop_burning.load(std::memory_order_relaxed)) {
       expect_sane(profile::report());
-      profile::status_json();
+      psf::obs::status_json();
     }
   });
 

@@ -187,15 +187,6 @@ TEST(Profile, FoldedTextAndSpeedscopeJsonRenderTheEntries) {
     profile::sample_current_thread();
   }
   const profile::Report report = profile::report();
-  const std::string folded = profile::to_folded(report);
-  EXPECT_NE(folded.find("thread:test-main;profile.test.fold_a 2"),
-            std::string::npos)
-      << folded;
-  EXPECT_NE(folded.find("thread:test-main;profile.test.fold_b 1"),
-            std::string::npos);
-  // Highest count first.
-  EXPECT_LT(folded.find("fold_a"), folded.find("fold_b"));
-
   const std::string json = profile::to_speedscope_json(report);
   EXPECT_NE(
       json.find(
@@ -205,17 +196,8 @@ TEST(Profile, FoldedTextAndSpeedscopeJsonRenderTheEntries) {
   EXPECT_NE(json.find("{\"name\":\"profile.test.fold_a\"}"),
             std::string::npos);
   EXPECT_NE(json.find("\"endValue\":3"), std::string::npos);
-}
-
-TEST(Profile, StatusJsonCarriesThreadCounters) {
-  register_test_thread();
-  profile::clear();
-  profile::sample_current_thread();
-  const std::string status = profile::status_json();
-  EXPECT_NE(status.find("\"version\":\"profile-v1\""), std::string::npos);
-  EXPECT_NE(status.find("\"compiled\":true"), std::string::npos);
-  EXPECT_NE(status.find("\"name\":\"test-main\""), std::string::npos);
-  EXPECT_NE(status.find("\"samples\":"), std::string::npos);
+  // One weight per folded stack, highest count first.
+  EXPECT_NE(json.find("\"weights\":[2,1]"), std::string::npos) << json;
 }
 
 TEST(Profile, ClearRewindsEntriesButKeepsCumulativeCounters) {
@@ -285,7 +267,6 @@ TEST(Profile, UnregisteredThreadCannotSample) {
 
 TEST(Profile, EmptyReportStillRendersValidDocuments) {
   const profile::Report empty;
-  EXPECT_EQ(profile::to_folded(empty), "");
   const std::string json = profile::to_speedscope_json(empty);
   EXPECT_NE(json.find("\"frames\":[]"), std::string::npos);
   EXPECT_NE(json.find("\"endValue\":0"), std::string::npos);

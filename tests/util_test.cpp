@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
@@ -68,6 +69,22 @@ TEST(Bytes, EqualCt) {
   EXPECT_TRUE(equal_ct(to_bytes("same"), to_bytes("same")));
   EXPECT_FALSE(equal_ct(to_bytes("same"), to_bytes("sa_e")));
   EXPECT_FALSE(equal_ct(to_bytes("short"), to_bytes("longer")));
+}
+
+TEST(Bytes, JsonEscapeCoversEveryControlByteAndKeepsUtf8) {
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  for (int c = 0; c < 0x20; ++c) {
+    if (c == '\n' || c == '\r' || c == '\t') continue;
+    char expected[7];
+    std::snprintf(expected, sizeof(expected), "\\u%04x", c);
+    EXPECT_EQ(json_escape(std::string(1, static_cast<char>(c))), expected)
+        << c;
+  }
+  EXPECT_EQ(json_escape("\x20\x7f"), "\x20\x7f");
+  const std::string utf8 = "caf\xc3\xa9 \xe2\x82\xac";
+  EXPECT_EQ(json_escape(utf8), utf8);
+  EXPECT_EQ(json_escape(""), "");
 }
 
 TEST(Result, SuccessHoldsValue) {

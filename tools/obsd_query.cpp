@@ -7,18 +7,18 @@
 // authenticated, sealed Switchboard connection into a VIG-generated view of
 // the Introspect component.
 //
-//   obsd_query [--as admin|viewer|anonymous] [metrics|health|journal [n]|
-//               spans [trace-id]|profile [status|dump]|all]
+//   obsd_query [--as admin|viewer|anonymous] [status|journal [n]|
+//               spans [trace-id]|profile|all]
 //
 //   --as admin      holds Admin.Monitor: full surface (default)
-//   --as viewer     holds Admin.Viewer: metrics+health view only; the deep
+//   --as viewer     holds Admin.Viewer: the status view only; the deep
 //                   methods (journal/spans/profile) do not exist on the
 //                   generated view class
 //   --as anonymous  no Admin credential: the ACL denies the request
 //
-// Unknown arguments, a journal count that is not a whole non-negative
-// number and a trace id that is not hex exit 2; denied access or failed
-// queries exit 1.
+// Unknown arguments, a second command, a journal count that is not a whole
+// non-negative number and a trace id that is not hex exit 2; denied access
+// or failed queries exit 1.
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -41,8 +41,7 @@ using psf::minilang::Value;
 
 void print_usage(std::ostream& out) {
   out << "usage: obsd_query [--as admin|viewer|anonymous] "
-         "[metrics|health|journal [n]|spans [trace-id]|"
-         "profile [status|dump]|all]\n"
+         "[status|journal [n]|spans [trace-id]|profile|all]\n"
          "\n"
          "Remotely queries the view-served observability surface of the mail\n"
          "scenario over an authenticated, sealed Switchboard connection.\n"
@@ -50,25 +49,23 @@ void print_usage(std::ostream& out) {
          "options:\n"
          "  --help          print this help and exit 0\n"
          "  --as admin      holds Admin.Monitor: full surface (default)\n"
-         "  --as viewer     holds Admin.Viewer: metrics+health only\n"
+         "  --as viewer     holds Admin.Viewer: status only\n"
          "  --as anonymous  no Admin credential: the ACL denies the request\n"
          "\n"
          "commands:\n"
-         "  metrics         counters and histogram snapshots\n"
-         "  health          health checks with reasons, latency\n"
-         "                  objectives (slo.<name>) included\n"
+         "  status          the status-v1 document: health checks with\n"
+         "                  reasons (latency objectives as slo.<name>),\n"
+         "                  metrics with tail exemplars, profiler counters\n"
          "  journal [n]     last n journal events (default 64)\n"
          "  spans [trace-id] spans for a hex trace id (default: latest\n"
          "                  dispatch)\n"
-         "  profile [status|dump]\n"
-         "                  sampling-profiler status (default) or a\n"
-         "                  speedscope-JSON flamegraph of the workload;\n"
+         "  profile         speedscope-JSON flamegraph of the workload;\n"
          "                  lock waits show as lock:<site> frames\n"
-         "  all             every section above (profile: status only)\n"
+         "  all             every section above\n"
          "\n"
-         "Unknown arguments, a journal count that is not a whole\n"
-         "non-negative number and a trace id that is not hex exit 2;\n"
-         "denied access or failed queries exit 1.\n";
+         "Unknown arguments, a second command, a journal count that is\n"
+         "not a whole non-negative number and a trace id that is not hex\n"
+         "exit 2; denied access or failed queries exit 1.\n";
 }
 
 int usage() {
@@ -144,7 +141,7 @@ std::string latest_dispatch_trace_hex() {
 
 int main(int argc, char** argv) {
   std::string role = "admin";
-  std::string command = "all";
+  std::string command;
   std::string argument;
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -154,11 +151,11 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--as") {
       if (i + 1 >= args.size()) return usage();
       role = args[++i];
-    } else if (args[i] == "metrics" || args[i] == "health" ||
-               args[i] == "journal" || args[i] == "spans" ||
-               args[i] == "profile" || args[i] == "all") {
+    } else if (args[i] == "status" || args[i] == "journal" ||
+               args[i] == "spans" || args[i] == "profile" ||
+               args[i] == "all") {
+      if (!command.empty()) return usage();  // one command per run
       command = args[i];
-      argument.clear();
       // journal/spans take the next token unless it is an option; whatever
       // they take must be a count or a trace id, never another command.
       if ((command == "journal" || command == "spans") &&
@@ -169,10 +166,6 @@ int main(int argc, char** argv) {
                                : is_trace_hex(argument);
         if (!valid) return usage();
       }
-      if (command == "profile" && i + 1 < args.size() &&
-          (args[i + 1] == "status" || args[i + 1] == "dump")) {
-        argument = args[++i];
-      }
     } else {
       return usage();
     }
@@ -180,13 +173,13 @@ int main(int argc, char** argv) {
   if (role != "admin" && role != "viewer" && role != "anonymous") {
     return usage();
   }
+  if (command.empty()) command = "all";
 
   Scenario s = psf::mail::build_scenario();
   psf::framework::Psf& psf = *s.psf;
 
-  psf::framework::IntrospectOptions options;
-  options.node = Scenario::kNyServer;
-  auto installed = psf::framework::install_introspection(psf, options);
+  auto installed =
+      psf::framework::install_introspection(psf, Scenario::kNyServer);
   if (!installed.ok()) {
     std::cerr << "install_introspection: " << installed.error().message
               << "\n";
@@ -194,9 +187,9 @@ int main(int argc, char** argv) {
   }
 
   // Sample the workload when the profile surface is being queried, so
-  // profile_status/profile_dump report real folded stacks. A dense interval
-  // (200 us CPU) and repeated passes on fresh scenarios keep the short
-  // workload statistically useful.
+  // profile_dump reports real folded stacks. A dense interval (200 us CPU)
+  // and repeated passes on fresh scenarios keep the short workload
+  // statistically useful.
   const bool profiling = command == "profile" || command == "all";
   if (profiling) {
     psf::obs::profile::register_thread("main");
@@ -211,10 +204,11 @@ int main(int argc, char** argv) {
   if (profiling) psf::obs::profile::stop();
 
   // Operator principals, credentialed in the Admin domain.
-  psf::framework::Guard* admin_guard = psf.guard(options.domain);
+  psf::framework::Guard* admin_guard =
+      psf.guard(psf::framework::kIntrospectDomain);
   ClientRequest request;
   request.client_node = Scenario::kNyPc;  // remote from the introspected node
-  request.service = options.service_name;
+  request.service = installed.value();
   if (role == "admin") {
     request.identity = admin_guard->create_principal("Operator");
     request.credentials = {admin_guard->grant(
@@ -254,13 +248,9 @@ int main(int argc, char** argv) {
       command == "journal" && !argument.empty() ? *parse_count(argument) : 64;
   const std::string trace_hex =
       argument.empty() ? latest_dispatch_trace_hex() : argument;
-  if (command == "metrics" || command == "all") {
-    if (command == "all") std::cout << "==== metrics ====\n";
-    rc |= query("metrics_snapshot", {});
-  }
-  if (command == "health" || command == "all") {
-    if (command == "all") std::cout << "==== health ====\n";
-    rc |= query("health", {});
+  if (command == "status" || command == "all") {
+    if (command == "all") std::cout << "==== status ====\n";
+    rc |= query("status", {});
   }
   if (command == "journal" || command == "all") {
     if (command == "all") std::cout << "==== journal ====\n";
@@ -272,7 +262,7 @@ int main(int argc, char** argv) {
   }
   if (command == "profile" || command == "all") {
     if (command == "all") std::cout << "==== profile ====\n";
-    rc |= query(argument == "dump" ? "profile_dump" : "profile_status", {});
+    rc |= query("profile_dump", {});
   }
   return rc;
 }

@@ -32,6 +32,7 @@
 #include "drbac/credential.hpp"
 #include "drbac/repository.hpp"
 #include "mail/components.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "views/view_def.hpp"
 
@@ -143,7 +144,7 @@ const char* sarif_level(psf::analysis::Severity severity) {
 std::string to_sarif(
     const std::vector<psf::analysis::Diagnostic>& diagnostics,
     const std::map<std::string, std::string>& uri_of_view) {
-  using psf::analysis::json_escape;
+  using psf::util::json_escape;
   std::set<std::string> codes;
   for (const auto& d : diagnostics) codes.insert(d.code);
   std::ostringstream out;
