@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "mail/components.hpp"
 #include "minilang/interp.hpp"
+#include "util/rng.hpp"
 #include "views/cache.hpp"
 #include "views/vig.hpp"
 
@@ -23,8 +24,12 @@ struct Fixture {
   Fixture() {
     mail::register_all(registry);
     views::Vig vig(&registry);
-    auto def = views::ViewDefinition::from_xml(mail::view_xml_member());
-    if (!vig.generate(def.value()).ok()) std::abort();
+    for (const std::string* xml :
+         {&mail::view_xml_member(), &mail::view_xml_partner(),
+          &mail::view_xml_anonymous()}) {
+      auto def = views::ViewDefinition::from_xml(*xml);
+      if (!vig.generate(def.value()).ok()) std::abort();
+    }
     original = minilang::instantiate(registry, "MailClient");
     original->call("addAccount", {Value::string("alice"), Value::string("1"),
                                   Value::string("a@x")});
@@ -55,39 +60,107 @@ Fixture& fixture() {
   return f;
 }
 
-/// Per-session view ledger: heap bytes (mallinfo2 deltas, averaged over
-/// 1000 instances) of one Member view wired to the original, before and
-/// after its first call pulls a full image. The difference is the replica
-/// image share of a session's memory.
-void view_ledger(Fixture& f, bench::Report& report) {
-  constexpr int kViews = 1000;
-  auto make_unsynced = [&f] {
-    auto view = minilang::instantiate(f.registry, "ViewMailClient_Member");
-    views::attach_cache_manager(view, Value::object(f.original),
-                                CacheManager::Policy::kPull);
-    return view;
-  };
-  // One view first, so one-time costs stay outside the measured window.
-  make_unsynced()->call("getPhone", {Value::string("alice")});
-  std::vector<std::shared_ptr<minilang::Instance>> views;
-  views.reserve(kViews);
+constexpr int kLedgerObjects = 1000;
+
+/// Heap bytes (mallinfo2 deltas, averaged over kLedgerObjects) that one
+/// object made by `make` holds.
+template <typename Make>
+double bytes_each(Make make) {
+  make();  // one-time costs stay outside the measured window
+  std::vector<decltype(make())> kept;
+  kept.reserve(kLedgerObjects);
   const std::size_t base = bench::heap_in_use();
-  for (int i = 0; i < kViews; ++i) views.push_back(make_unsynced());
-  const std::size_t unsynced = bench::heap_in_use();
-  for (const auto& view : views) view->call("getPhone", {Value::string("alice")});
-  const std::size_t synced = bench::heap_in_use();
-  const auto per_view = [](std::size_t bytes) {
-    return static_cast<double>(bytes) / kViews;
+  for (int i = 0; i < kLedgerObjects; ++i) kept.push_back(make());
+  return static_cast<double>(bench::heap_in_use() - base) / kLedgerObjects;
+}
+
+std::shared_ptr<minilang::Instance> wired_view(Fixture& f,
+                                               const std::string& cls,
+                                               const Value& origin) {
+  auto view = minilang::instantiate(f.registry, cls);
+  views::attach_cache_manager(view, origin, CacheManager::Policy::kPull);
+  return view;
+}
+
+/// Heap bytes of one Member view wired to `origin`, before and after its
+/// first call (a getPhone of `contact`) pulls a full image: {unsynced,
+/// synced}. The difference is the replica share of a session's memory, so
+/// it grows with what the origin holds.
+std::pair<double, double> member_view_bytes(Fixture& f, const Value& origin,
+                                            const std::string& contact) {
+  const auto make = [&] {
+    return wired_view(f, "ViewMailClient_Member", origin);
   };
-  report.add("member_view_bytes", per_view(unsynced - base), "bytes", kViews);
-  report.add("member_view_synced_bytes", per_view(synced - base), "bytes",
-             kViews);
-  report.add("replica_image_bytes", per_view(synced - unsynced), "bytes",
-             kViews);
-  std::cout << "  Member view instance: " << per_view(unsynced - base)
-            << " B before its first full sync, " << per_view(synced - base)
-            << " B after (replica image share "
-            << per_view(synced - unsynced) << " B)\n";
+  make()->call("getPhone", {Value::string(contact)});
+  std::vector<std::shared_ptr<minilang::Instance>> views;
+  views.reserve(kLedgerObjects);
+  const std::size_t base = bench::heap_in_use();
+  for (int i = 0; i < kLedgerObjects; ++i) views.push_back(make());
+  const std::size_t unsynced = bench::heap_in_use();
+  for (const auto& view : views) {
+    view->call("getPhone", {Value::string(contact)});
+  }
+  const std::size_t synced = bench::heap_in_use();
+  return {static_cast<double>(unsynced - base) / kLedgerObjects,
+          static_cast<double>(synced - base) / kLedgerObjects};
+}
+
+/// An origin holding a 16-contact directory shaped like psfbench's
+/// (`user-<n>`, `555-<nnnn>`, `<name>@site<k>.example`): what a psfbench
+/// session's Member view replicates. `contact` gets the last name added.
+std::shared_ptr<minilang::Instance> directory_origin(Fixture& f,
+                                                     util::Rng& rng,
+                                                     std::string& contact) {
+  auto origin = minilang::instantiate(f.registry, "MailClient");
+  for (int i = 0; i < 16; ++i) {
+    const std::string name = contact =
+        "user-" + std::to_string(100000 + rng.next_below(900000));
+    origin->call("addAccount",
+                 {Value::string(name),
+                  Value::string("555-" +
+                                std::to_string(1000 + rng.next_below(9000))),
+                  Value::string(name + "@site" +
+                                std::to_string(rng.next_below(10)) +
+                                ".example")});
+  }
+  return origin;
+}
+
+/// Per-session ledger: what each object kind of a psfbench session holds.
+/// Member views against the one-contact fixture origin and against a
+/// 16-contact directory; unsynced Partner and Anonymous views; one
+/// 16-contact origin.
+void view_ledger(Fixture& f, bench::Report& report) {
+  const auto [unsynced, synced] =
+      member_view_bytes(f, Value::object(f.original), "alice");
+  report.add("member_view_bytes", unsynced, "bytes", kLedgerObjects);
+  report.add("member_view_synced_bytes", synced, "bytes", kLedgerObjects);
+  report.add("replica_image_bytes", synced - unsynced, "bytes",
+             kLedgerObjects);
+  util::Rng rng(16);
+  std::string contact;
+  const auto directory = directory_origin(f, rng, contact);
+  const double synced16 =
+      member_view_bytes(f, Value::object(directory), contact).second;
+  report.add("member_view_synced_bytes.directory16", synced16, "bytes",
+             kLedgerObjects);
+  const double origin16 =
+      bytes_each([&] { return directory_origin(f, rng, contact); });
+  report.add("origin_bytes.directory16", origin16, "bytes", kLedgerObjects);
+  const Value original = Value::object(f.original);
+  const double partner = bytes_each(
+      [&] { return wired_view(f, "ViewMailClient_Partner", original); });
+  const double anonymous = bytes_each(
+      [&] { return wired_view(f, "ViewMailClient_Anonymous", original); });
+  report.add("partner_view_bytes", partner, "bytes", kLedgerObjects);
+  report.add("anonymous_view_bytes", anonymous, "bytes", kLedgerObjects);
+  std::cout << "  Member view instance: " << unsynced
+            << " B before its first full sync, " << synced
+            << " B after (replica image share " << synced - unsynced
+            << " B); " << synced16
+            << " B after syncing a 16-contact directory\n"
+            << "  Partner view " << partner << " B, Anonymous view "
+            << anonymous << " B, 16-contact origin " << origin16 << " B\n";
 }
 
 void reproduce() {

@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -46,15 +45,9 @@ class Compiler {
     out_->method_name = method_.name;
     out_->self_class = &cls_;
 
-    // Field slots: sorted unique names across the inheritance chain — the
-    // exact iteration order of Instance::fields_ (a std::map keyed by name),
-    // which is what Instance's slot table is built from.
-    std::set<std::string> field_names;
-    for (const FieldDef* f : registry_.all_fields(cls_)) {
-      field_names.insert(f->name);
-    }
-    std::int32_t slot = 0;
-    for (const auto& name : field_names) field_slots_[name] = slot++;
+    // Field slots come from the class's shared layout, the same one every
+    // Instance of the class stores its slots in.
+    layout_ = registry_.layout(cls_);
 
     // A repeated parameter name binds to its last occurrence, as the
     // oracle's in-order declaration does; earlier registers stay unnamed.
@@ -114,10 +107,10 @@ class Compiler {
       if (locals_.count(s.name) == 0) {
         Local l;
         l.reg = next_local_reg();
-        auto field = field_slots_.find(s.name);
-        if (field != field_slots_.end()) {
+        const std::ptrdiff_t field = layout_->slot_of(s.name);
+        if (field >= 0) {
           l.also_field = true;
-          l.field_slot = field->second;
+          l.field_slot = static_cast<std::int32_t>(field);
         }
         locals_[s.name] = l;
         out_->local_names.push_back(s.name);
@@ -402,9 +395,10 @@ class Compiler {
       }
       return;
     }
-    auto field = field_slots_.find(e.name);
-    if (field != field_slots_.end()) {
-      emit(Op::kLoadField, dst, add_name(e.name), 0, field->second, e.line);
+    const std::ptrdiff_t field = layout_->slot_of(e.name);
+    if (field >= 0) {
+      emit(Op::kLoadField, dst, add_name(e.name), 0,
+           static_cast<std::int32_t>(field), e.line);
       return;
     }
     emit_throw("line " + std::to_string(e.line) + ": undefined variable '" +
@@ -601,11 +595,11 @@ class Compiler {
           }
           return;
         }
-        auto field = field_slots_.find(target.name);
-        if (field != field_slots_.end()) {
+        const std::ptrdiff_t field = layout_->slot_of(target.name);
+        if (field >= 0) {
           const std::uint16_t v = expr_value(*s.expr);
-          emit(Op::kStoreField, v, add_name(target.name), 0, field->second,
-               target.line);
+          emit(Op::kStoreField, v, add_name(target.name), 0,
+               static_cast<std::int32_t>(field), target.line);
           return;
         }
         // RHS runs before the error, like the oracle.
@@ -642,7 +636,7 @@ class Compiler {
 
   std::shared_ptr<CompiledMethod> out_;
   std::map<std::string, Local> locals_;
-  std::map<std::string, std::int32_t> field_slots_;
+  std::shared_ptr<const FieldLayout> layout_;
   std::map<std::string, std::uint16_t> name_index_;
   std::vector<LoopCtx> loops_;
   std::size_t temp_top_ = 0;

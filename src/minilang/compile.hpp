@@ -8,7 +8,7 @@
 //  - locals and parameters become register slots;
 //  - `this` fields become slot indices into the instance's field table
 //    (Instance::get_field_slot / set_field_slot), resolved against the
-//    class's sorted field layout;
+//    class's shared FieldLayout;
 //  - self-calls bind directly to the resolved MethodDef;
 //  - builtins bind to their table index;
 //  - literal subexpressions are constant-folded into the constant pool;
@@ -131,12 +131,12 @@ class CompileError : public EvalError {
   using EvalError::EvalError;
 };
 
-/// Compile `method` against `cls`'s field layout (fields are resolved over
-/// `registry.all_fields(cls)`) and publish the code into the method's
-/// CompiledSlot, or return the code already published for `cls`
-/// (thread-safe, at most one compile per (slot, class)). Throws CompileError
-/// when the body cannot be lowered, and EvalError for a native method or one
-/// whose class was never registered (no slot). Updates
+/// Compile `method` against `cls`'s field layout (`registry.layout(cls)`,
+/// the one its instances store their slots in) and publish the code into
+/// the method's CompiledSlot, or return the code already published for
+/// `cls` (thread-safe, at most one compile per (slot, class)). Throws
+/// CompileError when the body cannot be lowered, and EvalError for a native
+/// method or one whose class was never registered (no slot). Updates
 /// psf.minilang.{compile_us,methods_compiled}.
 const CompiledMethod& ensure_compiled(const ClassRegistry& registry,
                                       const ClassDef& cls,

@@ -54,6 +54,14 @@ const FieldDef* ClassDef::find_field(const std::string& field) const {
   return nullptr;
 }
 
+std::ptrdiff_t FieldLayout::slot_of(const std::string& name) const {
+  auto it = std::lower_bound(
+      fields.begin(), fields.end(), name,
+      [](const Field& f, const std::string& n) { return f.name < n; });
+  if (it == fields.end() || it->name != name) return -1;
+  return it - fields.begin();
+}
+
 void ClassRegistry::register_class(std::shared_ptr<ClassDef> cls) {
   // Ensure every method has its bytecode slot before the class becomes
   // reachable: registration is single-threaded setup, so the engine's lazy
@@ -62,10 +70,14 @@ void ClassRegistry::register_class(std::shared_ptr<ClassDef> cls) {
     if (m.compiled == nullptr) m.compiled = std::make_shared<CompiledSlot>();
   }
   classes_[cls->name] = std::move(cls);
+  std::lock_guard<std::mutex> lock(layouts_mu_);
+  layouts_.clear();
 }
 
 void ClassRegistry::unregister_class(const std::string& name) {
   classes_.erase(name);
+  std::lock_guard<std::mutex> lock(layouts_mu_);
+  layouts_.clear();
 }
 
 void ClassRegistry::register_interface(InterfaceDef iface) {
@@ -92,13 +104,24 @@ const MethodDef* ClassRegistry::resolve_method(const ClassDef& cls,
   return nullptr;
 }
 
-std::vector<const FieldDef*> ClassRegistry::all_fields(
+std::shared_ptr<const FieldLayout> ClassRegistry::layout(
     const ClassDef& cls) const {
-  std::vector<const FieldDef*> out;
+  std::lock_guard<std::mutex> lock(layouts_mu_);
+  std::shared_ptr<const FieldLayout>& cached = layouts_[cls.name];
+  if (cached != nullptr) return cached;
+  // Most-derived class first, so a base class's initializer, assigned
+  // later, wins for a name declared on both.
+  std::map<std::string, Value> initial;
   for (const auto& c : chain(cls)) {
-    for (const auto& f : c->fields) out.push_back(&f);
+    for (const auto& f : c->fields) initial[f.name] = f.initial;
   }
-  return out;
+  auto out = std::make_shared<FieldLayout>();
+  out->fields.reserve(initial.size());
+  for (auto& [name, value] : initial) {
+    out->fields.push_back({name, std::move(value)});
+  }
+  cached = std::move(out);
+  return cached;
 }
 
 std::vector<std::shared_ptr<const ClassDef>> ClassRegistry::chain(
@@ -129,28 +152,20 @@ std::uint64_t next_instance_uid() {
 
 Instance::Instance(std::shared_ptr<const ClassDef> cls,
                    const ClassRegistry* registry)
-    : cls_(std::move(cls)), registry_(registry), uid_(next_instance_uid()) {
-  for (const FieldDef* f : registry_->all_fields(*cls_)) {
-    fields_[f->name] = f->initial;
-  }
-  // Map iterators are stable and the field set is fixed at construction, so
-  // slot k aliases the k-th field in sorted-name order for the instance's
-  // whole lifetime (the layout the bytecode compiler resolves against).
-  field_slots_.reserve(fields_.size());
-  for (auto it = fields_.begin(); it != fields_.end(); ++it) {
-    field_slots_.push_back(FieldSlot{it});
+    : cls_(std::move(cls)),
+      registry_(registry),
+      layout_(registry_->layout(*cls_)),
+      uid_(next_instance_uid()) {
+  slots_.reserve(layout_->fields.size());
+  for (const FieldLayout::Field& f : layout_->fields) {
+    slots_.push_back(Slot{f.initial});
   }
 }
 
 std::size_t Instance::slot_of(const std::string& name) const {
-  auto it = std::lower_bound(field_slots_.begin(), field_slots_.end(), name,
-                             [](const FieldSlot& s, const std::string& n) {
-                               return s.field->first < n;
-                             });
-  if (it == field_slots_.end() || it->field->first != name) {
-    throw EvalError("no field '" + name + "' on " + cls_->name);
-  }
-  return static_cast<std::size_t>(it - field_slots_.begin());
+  const std::ptrdiff_t slot = layout_->slot_of(name);
+  if (slot < 0) throw EvalError("no field '" + name + "' on " + cls_->name);
+  return static_cast<std::size_t>(slot);
 }
 
 Value Instance::get_field(const std::string& name) const {
@@ -162,8 +177,8 @@ void Instance::set_field(const std::string& name, Value value) {
 }
 
 void Instance::set_field_slot(std::size_t slot, Value value) {
-  FieldSlot& s = field_slots_[slot];
-  s.field->second = std::move(value);
+  Slot& s = slots_[slot];
+  s.value = std::move(value);
   s.version = ++version_;
   // A direct write invalidates any fingerprint recorded for the old value;
   // drop it so a later in-place mutation of the new container is not masked.
@@ -171,12 +186,12 @@ void Instance::set_field_slot(std::size_t slot, Value value) {
 }
 
 bool Instance::has_field(const std::string& name) const {
-  return fields_.count(name) > 0;
+  return layout_->slot_of(name) >= 0;
 }
 
 void Instance::note_field_fingerprint(std::size_t slot,
                                       std::uint64_t fingerprint) const {
-  FieldSlot& s = field_slots_[slot];
+  Slot& s = slots_[slot];
   if (fingerprint == 0) fingerprint = 1;  // 0 is the "none recorded" mark
   if (s.fingerprint == 0) {
     // First observation: record without bumping — the value is whatever the

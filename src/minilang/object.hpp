@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,23 @@ struct ClassDef {
   bool is_view() const { return !represents.empty(); }
 };
 
+/// The fields every instance of one class stores, in slot order: names
+/// sorted and de-duplicated over the inheritance chain, each with the value
+/// a new instance starts from (a base class's initializer wins over a
+/// subclass redeclaring the field). The compiler resolves slot indices
+/// against it and every instance takes its names and initial values from
+/// it, so one copy per class serves both.
+struct FieldLayout {
+  struct Field {
+    std::string name;
+    Value initial;
+  };
+  std::vector<Field> fields;
+
+  /// Slot of `name`, or -1 when the class has no such field.
+  std::ptrdiff_t slot_of(const std::string& name) const;
+};
+
 /// Shared class/interface namespace for one simulated JVM (one per host in
 /// the deployment substrate).
 class ClassRegistry {
@@ -113,8 +131,10 @@ class ClassRegistry {
   const MethodDef* resolve_method(const ClassDef& cls,
                                   const std::string& method) const;
 
-  /// All fields visible on an instance of `cls` (own + inherited).
-  std::vector<const FieldDef*> all_fields(const ClassDef& cls) const;
+  /// Field layout of the class registered under `cls.name` (own +
+  /// inherited fields). Built on first use and shared until the next
+  /// register_class/unregister_class, which may change any chain.
+  std::shared_ptr<const FieldLayout> layout(const ClassDef& cls) const;
 
   /// Inheritance chain [cls, super, super-super, ...].
   std::vector<std::shared_ptr<const ClassDef>> chain(const ClassDef& cls) const;
@@ -124,6 +144,9 @@ class ClassRegistry {
  private:
   std::map<std::string, std::shared_ptr<ClassDef>> classes_;
   std::map<std::string, InterfaceDef> interfaces_;
+  // Instances are constructed from any thread; the cache fills lazily.
+  mutable std::mutex layouts_mu_;
+  mutable std::map<std::string, std::shared_ptr<const FieldLayout>> layouts_;
 };
 
 /// Per-instance hook points used by the cache coherence machinery.
@@ -152,14 +175,16 @@ class Instance : public CallTarget,
   Value get_field(const std::string& name) const;
   void set_field(const std::string& name, Value value);
   bool has_field(const std::string& name) const;
-  const ValueMap& fields() const { return fields_; }
 
-  // Slot-indexed field access for the bytecode VM. Slot order is the sorted
-  // field-name order — exactly the iteration order of fields_ — and the
-  // compiler derives the same indices from the class's field set, so a slot
-  // resolved at compile time stays valid for every instance of that class.
+  // Slot-indexed field access. Slot k holds the layout's k-th field; the
+  // compiler resolves names against the same shared layout, so a slot
+  // resolved at compile time stays valid for every instance of the class.
+  std::size_t field_count() const { return slots_.size(); }
+  const std::string& field_name(std::size_t slot) const {
+    return layout_->fields[slot].name;
+  }
   const Value& get_field_slot(std::size_t slot) const {
-    return field_slots_[slot].field->second;
+    return slots_[slot].value;
   }
   void set_field_slot(std::size_t slot, Value value);
 
@@ -172,7 +197,7 @@ class Instance : public CallTarget,
   // write — `push(notes, x)` goes through the shared pointer — so extractors
   // additionally call note_field_fingerprint with a content fingerprint; a
   // changed fingerprint bumps the slot like a write would. Both stamps live
-  // beside the slot's field iterator: one array, sized at construction.
+  // beside the slot's value: one array, sized at construction.
 
   /// Stable per-process identity; peers use it to detect that "version N"
   /// refers to a different object generation (restart, rewire) and fall
@@ -184,7 +209,7 @@ class Instance : public CallTarget,
 
   /// Version at which field `slot` was last written (0 = initial value only).
   std::uint64_t field_version(std::size_t slot) const {
-    return field_slots_[slot].version;
+    return slots_[slot].version;
   }
 
   /// Compare-and-bump for container fields: if `fingerprint` differs from
@@ -198,8 +223,8 @@ class Instance : public CallTarget,
   MethodHooks* hooks() const { return hooks_.get(); }
 
  private:
-  struct FieldSlot {
-    ValueMap::iterator field;  // std::map iterators: stable
+  struct Slot {
+    Value value;
     std::uint64_t version = 0;
     std::uint64_t fingerprint = 0;  // 0 = none recorded since the last write
   };
@@ -208,8 +233,8 @@ class Instance : public CallTarget,
 
   std::shared_ptr<const ClassDef> cls_;
   const ClassRegistry* registry_;
-  ValueMap fields_;
-  mutable std::vector<FieldSlot> field_slots_;
+  std::shared_ptr<const FieldLayout> layout_;
+  mutable std::vector<Slot> slots_;
   std::uint64_t uid_;
   mutable std::uint64_t version_ = 0;
   std::shared_ptr<MethodHooks> hooks_;

@@ -1,5 +1,6 @@
 #include "minilang/value.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/bytes.hpp"
@@ -9,6 +10,8 @@ namespace psf::minilang {
 Value Value::list(ValueList items) {
   return Value(Data(std::make_shared<ValueList>(std::move(items))));
 }
+
+Value Value::map() { return map(ValueMap{}); }
 
 Value Value::map(ValueMap items) {
   return Value(Data(std::make_shared<ValueMap>(std::move(items))));
@@ -80,9 +83,9 @@ bool Value::equals(const Value& other) const {
     const auto& a = *as_map();
     const auto& b = *other.as_map();
     if (a.size() != b.size()) return false;
-    for (const auto& [k, v] : a) {
-      auto it = b.find(k);
-      if (it == b.end() || !v.equals(it->second)) return false;
+    // Same size and both key-ordered: equal maps pair up entry by entry.
+    for (auto x = a.begin(), y = b.begin(); x != a.end(); ++x, ++y) {
+      if (x->first != y->first || !x->second.equals(y->second)) return false;
     }
     return true;
   }
@@ -131,6 +134,50 @@ std::string Value::type_name() const {
   if (is_list()) return "list";
   if (is_map()) return "map";
   return "object";
+}
+
+namespace {
+template <typename It>
+It lower_bound_key(It first, It last, const std::string& key) {
+  return std::lower_bound(first, last, key,
+                          [](const ValueMap::Entry& e, const std::string& k) {
+                            return e.first < k;
+                          });
+}
+}  // namespace
+
+ValueMap::const_iterator ValueMap::find(const std::string& key) const {
+  auto it = lower_bound_key(entries_.begin(), entries_.end(), key);
+  return it != entries_.end() && it->first == key ? it : entries_.end();
+}
+
+const Value& ValueMap::at(const std::string& key) const {
+  auto it = find(key);
+  if (it == end()) {
+    throw std::out_of_range("ValueMap::at: no key '" + key + "'");
+  }
+  return it->second;
+}
+
+Value& ValueMap::operator[](const std::string& key) {
+  auto it = lower_bound_key(entries_.begin(), entries_.end(), key);
+  if (it == entries_.end() || it->first != key) {
+    it = entries_.emplace(it, key, Value());
+  }
+  return it->second;
+}
+
+std::size_t ValueMap::erase(const std::string& key) {
+  auto it = find(key);
+  if (it == entries_.end()) return 0;
+  entries_.erase(it);
+  return 1;
+}
+
+bool ValueMap::append(std::string key, Value value) {
+  if (!entries_.empty() && !(entries_.back().first < key)) return false;
+  entries_.emplace_back(std::move(key), std::move(value));
+  return true;
 }
 
 }  // namespace psf::minilang

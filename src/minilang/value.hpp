@@ -6,9 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -17,8 +18,8 @@
 namespace psf::minilang {
 
 class Value;
+class ValueMap;
 using ValueList = std::vector<Value>;
-using ValueMap = std::map<std::string, Value>;
 
 /// Anything a method can be invoked on: local instances, remote stubs.
 class CallTarget {
@@ -37,7 +38,8 @@ class Value {
   static Value string(std::string s) { return Value(Data(std::move(s))); }
   static Value bytes(util::Bytes b) { return Value(Data(std::move(b))); }
   static Value list(ValueList items = {});
-  static Value map(ValueMap items = {});
+  static Value map();
+  static Value map(ValueMap items);
   static Value object(std::shared_ptr<CallTarget> target) {
     return Value(Data(std::move(target)));
   }
@@ -85,6 +87,46 @@ class Value {
   explicit Value(Data data) : data_(std::move(data)) {}
 
   Data data_;
+};
+
+/// A MiniLang map: string keys, kept as one sorted contiguous vector of
+/// (key, value) entries. Lookups binary-search; iteration runs in key order
+/// (std::string's byte-wise operator<), which is the order encodings,
+/// fingerprints and coherence images are written in. An entry costs its
+/// 72 bytes in the vector and nothing else: no per-entry allocation.
+class ValueMap {
+ public:
+  using Entry = std::pair<std::string, Value>;
+  using iterator = std::vector<Entry>::iterator;
+  using const_iterator = std::vector<Entry>::const_iterator;
+
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+
+  const_iterator find(const std::string& key) const;
+  std::size_t count(const std::string& key) const {
+    return find(key) == end() ? 0 : 1;
+  }
+  /// Throws std::out_of_range when `key` is absent.
+  const Value& at(const std::string& key) const;
+  /// The value under `key`, inserted as null at its sorted place if absent.
+  /// The reference is invalidated by the next insertion or erase.
+  Value& operator[](const std::string& key);
+  std::size_t erase(const std::string& key);
+
+  /// Add an entry after the last one. Refused (returns false, map
+  /// unchanged) unless `key` sorts strictly after every key present, so
+  /// builders that produce keys in order — decoders, image extractors —
+  /// never search or shift.
+  bool append(std::string key, Value value);
+  void reserve(std::size_t n) { entries_.reserve(n); }
+
+ private:
+  std::vector<Entry> entries_;
 };
 
 /// Error thrown by the engine and value accessors.

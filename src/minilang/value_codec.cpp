@@ -177,11 +177,18 @@ Value decode_one(Reader& r, int depth) {
         r.fail = true;
         return Value::null();
       }
+      // Canonical form only: keys strictly ascending in ValueMap's order,
+      // exactly as the encoder writes them. A duplicate or out-of-order key
+      // is malformed, so every entry appends.
       ValueMap items;
+      items.reserve(std::min<std::size_t>(n, kMaxTrustedReserve));
       for (std::uint32_t i = 0; i < n && !r.fail; ++i) {
         const std::uint32_t klen = r.u32();
         std::string key = r.str(klen);
-        items[std::move(key)] = decode_one(r, depth + 1);
+        Value item = decode_one(r, depth + 1);
+        if (!r.fail && !items.append(std::move(key), std::move(item))) {
+          r.fail = true;
+        }
       }
       return Value::map(std::move(items));
     }

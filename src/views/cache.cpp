@@ -215,9 +215,9 @@ util::Bytes instance_image_since(const Instance& instance,
   // a first full sync records the baseline every later delta is diffed
   // against.
   ValueMap image;
-  std::size_t slot = 0;
-  for (const auto& [name, value] : instance.fields()) {
-    const std::size_t s = slot++;
+  for (std::size_t s = 0; s < instance.field_count(); ++s) {
+    const std::string& name = instance.field_name(s);
+    const Value& value = instance.get_field_slot(s);
     if (is_wiring_field_name(name) || value.is_object()) continue;
     if (value.is_list() || value.is_map()) {
       instance.note_field_fingerprint(
@@ -226,7 +226,7 @@ util::Bytes instance_image_since(const Instance& instance,
     if (since_version != 0 && instance.field_version(s) <= since_version) {
       continue;
     }
-    image.emplace_hint(image.end(), name, value);
+    image.append(name, value);  // slots run in name order
   }
 
   const std::size_t fields = image.size();
@@ -283,22 +283,20 @@ ImageFrame apply_instance_image(Instance& instance, const util::Bytes& image) {
   if (!decoded.ok() || !decoded.value().is_map()) {
     throw MalformedImage("body is not one encoded field map");
   }
-  // Both maps iterate in name order, so one merge walk pairs image entries
-  // with slots.
-  const ValueMap& fields = instance.fields();
-  auto field = fields.begin();
+  // The image map and the slots both run in name order, so one merge walk
+  // pairs image entries with slots.
+  const std::size_t slots = instance.field_count();
   std::size_t slot = 0;
   for (const auto& [name, value] : *decoded.value().as_map()) {
-    while (field != fields.end() && field->first < name) {
-      ++field;
-      ++slot;
+    while (slot < slots && instance.field_name(slot) < name) ++slot;
+    if (slot == slots) break;
+    if (instance.field_name(slot) != name || is_wiring_field_name(name)) {
+      continue;
     }
-    if (field == fields.end()) break;
-    if (field->first != name || is_wiring_field_name(name)) continue;
     // Idempotent apply: only write fields that actually changed, so a pull
     // does not dirty the receiver and echo every field back on its next
     // push (delta amplification).
-    if (field->second.equals(value)) continue;
+    if (instance.get_field_slot(slot).equals(value)) continue;
     instance.set_field_slot(slot, value);
   }
   return frame;

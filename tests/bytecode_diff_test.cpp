@@ -69,13 +69,13 @@ std::string call_outcome(const std::shared_ptr<Instance>& self,
 
 // Serializable field state (object-valued fields carry no stable printable
 // identity and are excluded, mirroring views::instance_image_since).
-std::string field_snapshot(const ClassRegistry& registry, Instance& self) {
+std::string field_snapshot(Instance& self) {
   std::ostringstream os;
-  for (const auto* field : registry.all_fields(self.cls())) {
-    const Value v = self.get_field(field->name);
+  for (std::size_t slot = 0; slot < self.field_count(); ++slot) {
+    const Value& v = self.get_field_slot(slot);
     if (v.is_object()) continue;
-    os << field->name << "=" << v.type_name() << ":" << v.to_display_string()
-       << "\n";
+    os << self.field_name(slot) << "=" << v.type_name() << ":"
+       << v.to_display_string() << "\n";
   }
   return os.str();
 }
@@ -104,7 +104,7 @@ std::string transcript(const ClassRegistry& registry,
     os << method << " -> " << call_outcome(self, method, args, engine)
        << "\n";
   }
-  os << "-- fields --\n" << field_snapshot(registry, *self);
+  os << "-- fields --\n" << field_snapshot(*self);
   // The image body: the header carries the instance's uid and versions.
   const util::Bytes image = views::instance_image_since(*self, 0);
   os << "-- image --\n"
@@ -501,8 +501,8 @@ TEST(BytecodeDiff, InheritedMethodCompilesPerClassLayout) {
                          engine)
          << "\n";
     }
-    os << field_snapshot(*registry, *base_obj) << "--\n"
-       << field_snapshot(*registry, *derived_obj);
+    os << field_snapshot(*base_obj) << "--\n"
+       << field_snapshot(*derived_obj);
     return os.str();
   };
   const std::string vm = alternate(Engine::kVm);

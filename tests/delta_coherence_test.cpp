@@ -10,6 +10,7 @@
 #include "mail/components.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/parser.hpp"
+#include "support/value_map_oracle.hpp"
 #include "util/rng.hpp"
 #include "views/cache.hpp"
 #include "views/vig.hpp"
@@ -396,6 +397,24 @@ TEST(ImageFuzz, MutantsAreRejectedWithOneErrorOrApplied) {
       try_apply(w, framed);
     }
   }
+}
+
+TEST(ImageFuzz, DuplicateAndUnsortedFieldKeysAreMalformed) {
+  // A full image whose field map repeats or reorders names is not one a
+  // peer's extractor writes; the receiver refuses it whole.
+  DeltaWorld w;
+  auto original = w.make_original();
+  const util::Bytes full = instance_image_since(*original, 0);
+  const util::Bytes header(full.begin(), full.begin() + kImageHeaderSize);
+  const auto framed = [&header](const minilang::oracle::MapEntries& fields) {
+    util::Bytes image = header;
+    util::append(image, minilang::oracle::map_encoding(fields));
+    return image;
+  };
+  const Value notes = Value::list({Value::string("n")});
+  EXPECT_TRUE(try_apply(w, framed({{"meetings", notes}, {"notes", notes}})));
+  EXPECT_FALSE(try_apply(w, framed({{"notes", notes}, {"meetings", notes}})));
+  EXPECT_FALSE(try_apply(w, framed({{"notes", notes}, {"notes", notes}})));
 }
 
 // ---- view-update laws (Making View Update Strategies Programmable): the

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 
+#include "minilang/builtins.hpp"
 #include "minilang/value_codec.hpp"
+#include "support/value_map_oracle.hpp"
 #include "util/rng.hpp"
 
 // Allocation accounting for the decoder-bound tests: this binary's global
@@ -180,6 +183,128 @@ TEST(ValueCodec, EmptyValueListRoundTrip) {
   auto decoded = decode_values(encode_values({}));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded.value().empty());
+}
+
+TEST(ValueCodec, RejectsDuplicateAndUnsortedMapKeys) {
+  using oracle::map_encoding;
+  const Value one = Value::integer(1);
+  const Value two = Value::integer(2);
+  // Keys must rise strictly in ValueMap's byte order (unsigned bytes, a
+  // prefix before its extensions), which is the order the encoder writes.
+  for (const oracle::MapEntries& canonical :
+       {oracle::MapEntries{{"", one}, {"a", two}},
+        oracle::MapEntries{{"a", one}, {"ab", two}},
+        oracle::MapEntries{{"\x7f", one}, {"\x80", two}},
+        oracle::MapEntries{{"a", one}, {"b", two}, {"c", one}}}) {
+    const util::Bytes wire = map_encoding(canonical);
+    auto decoded = decode_value(wire);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(encode_value(decoded.value()), wire);
+  }
+  for (const oracle::MapEntries& bad :
+       {oracle::MapEntries{{"a", one}, {"a", two}},
+        oracle::MapEntries{{"b", one}, {"a", two}},
+        oracle::MapEntries{{"ab", one}, {"a", two}},
+        oracle::MapEntries{{"\x80", one}, {"\x7f", two}},
+        oracle::MapEntries{{"a", one}, {"c", two}, {"b", one}},
+        oracle::MapEntries{{"", one}, {"", two}}}) {
+    const util::Bytes wire = map_encoding(bad);
+    EXPECT_FALSE(decode_value(wire).ok()) << util::to_hex(wire);
+    // Nested inside a list, and as an RPC argument.
+    util::Bytes nested = {6};
+    util::put_u32_be(nested, 1);
+    util::append(nested, wire);
+    EXPECT_FALSE(decode_value(nested).ok());
+    util::Bytes args;
+    util::put_u32_be(args, 1);
+    util::append(args, wire);
+    EXPECT_FALSE(decode_values(args).ok());
+  }
+  // A long descending run is refused at its second entry: decoding stays
+  // linear and allocates in proportion to what it kept.
+  oracle::MapEntries descending;
+  for (int i = 9999; i >= 0; --i) {
+    char key[8];
+    std::snprintf(key, sizeof(key), "%05d", i);
+    descending.emplace_back(key, Value::null());
+  }
+  const util::Bytes hostile = map_encoding(descending);
+  {
+    AllocWindow window;
+    EXPECT_FALSE(decode_value(hostile).ok());
+  }
+  EXPECT_LE(g_total.load(), 4096u);
+}
+
+// Seeded operation sequences on two ValueMaps and their std::map models,
+// through the builtins MiniLang programs call. After every step both maps
+// must hold their model's entries in its order, and every result (get, has,
+// remove, keys, len, equals, the encoding) must match the model's.
+TEST(ValueMapOracle, SeededOperationsMatchStdMapAfterEveryStep) {
+  const auto builtin = [](const char* name, std::vector<Value> args) {
+    return call_builtin(builtin_index(name), args);
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed * 7907);
+    Value maps[2] = {Value::map(), Value::map()};
+    oracle::MapModel models[2];
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      const std::size_t side = rng.next_below(2);
+      const Value& map = maps[side];
+      oracle::MapModel& model = models[side];
+      const std::string key = oracle::random_key(rng);
+      switch (rng.next_below(7)) {
+        case 0:
+        case 1: {
+          const Value item = oracle::random_scalar(rng);
+          builtin("put", {map, Value::string(key), item});
+          model[key] = item;
+          break;
+        }
+        case 2: {
+          auto it = model.find(key);
+          const Value want = it == model.end() ? Value::null() : it->second;
+          EXPECT_TRUE(builtin("get", {map, Value::string(key)}).equals(want));
+          break;
+        }
+        case 3:
+          EXPECT_EQ(builtin("has", {map, Value::string(key)}).as_bool(),
+                    model.count(key) == 1);
+          break;
+        case 4:
+          EXPECT_EQ(builtin("remove", {map, Value::string(key)}).as_bool(),
+                    model.erase(key) == 1);
+          break;
+        case 5: {
+          ValueList want;
+          for (const auto& entry : model) {
+            want.push_back(Value::string(entry.first));
+          }
+          EXPECT_TRUE(builtin("keys", {map}).equals(Value::list(want)));
+          EXPECT_EQ(builtin("len", {map}).as_int(),
+                    static_cast<std::int64_t>(model.size()));
+          break;
+        }
+        default: {
+          const util::Bytes wire = encode_value(map);
+          EXPECT_EQ(wire, oracle::map_encoding(model));
+          auto decoded = decode_value(wire);
+          ASSERT_TRUE(decoded.ok());
+          EXPECT_EQ(oracle::first_difference(*decoded.value().as_map(), model),
+                    "");
+          break;
+        }
+      }
+      for (std::size_t i = 0; i < 2; ++i) {
+        ASSERT_EQ(oracle::first_difference(*maps[i].as_map(), models[i]), "")
+            << "map " << i;
+      }
+      EXPECT_EQ(maps[0].equals(maps[1]),
+                oracle::models_equal(models[0], models[1]));
+    }
+  }
 }
 
 TEST(ValueCodec, FuzzDecodeNeverCrashes) {
